@@ -7,9 +7,6 @@
 #include "codegen/emit.h"
 #include "common/trace.h"
 #include "cpukernels/backend.h"
-#include "cpukernels/conv.h"
-#include "cpukernels/gemm.h"
-#include "cpukernels/tuned.h"
 #include "cutlite/padding.h"
 #include "ir/interpreter.h"
 
@@ -29,23 +26,53 @@ using cutlite::GemmKernel;
 
 namespace {
 
+bool IsComposite(OpKind k) {
+  return k == OpKind::kBoltGemm || k == OpKind::kBoltConv2d ||
+         k == OpKind::kBoltB2BGemm || k == OpKind::kBoltB2BConv;
+}
+
+/// Per-stage problems and epilogues of a bolt.* composite: one stage for
+/// bolt.gemm / bolt.conv2d, `stages` for the b2b kinds.  The epilogues
+/// keep the attrs' default output dtype, which is what the profiler keys
+/// on and the code generator emits.
+struct CompositeStages {
+  std::vector<GemmCoord> gemms;    // bolt.gemm, bolt.b2b_gemm
+  std::vector<ConvProblem> convs;  // bolt.conv2d, bolt.b2b_conv
+  std::vector<EpilogueSpec> epilogues;
+};
+
+CompositeStages StagesOf(const Graph& g, const Node& n) {
+  const bool b2b =
+      n.kind == OpKind::kBoltB2BGemm || n.kind == OpKind::kBoltB2BConv;
+  const bool gemm =
+      n.kind == OpKind::kBoltGemm || n.kind == OpKind::kBoltB2BGemm;
+  const int stages = b2b ? static_cast<int>(n.attrs.GetInt("stages", 2)) : 1;
+  CompositeStages st;
+  for (int s = 0; s < stages; ++s) {
+    if (gemm) {
+      st.gemms.push_back(GemmProblemOf(g, n, s));
+    } else {
+      st.convs.push_back(ConvProblemOf(g, n, s));
+    }
+    st.epilogues.push_back(
+        EpilogueFromAttrs(n.attrs, b2b ? StrCat("s", s, "_") : ""));
+  }
+  return st;
+}
+
 /// True if the layout-transform node is adjacent to a Bolt composite and
 /// can be folded into that kernel's iterators (no separate launch).
 bool TransformFoldable(const Graph& g, const Node& n) {
   BOLT_CHECK(n.kind == OpKind::kLayoutTransform);
-  auto is_bolt = [](OpKind k) {
-    return k == OpKind::kBoltGemm || k == OpKind::kBoltConv2d ||
-           k == OpKind::kBoltB2BGemm || k == OpKind::kBoltB2BConv;
-  };
   // Input-side: single consumer is a Bolt kernel (possibly via padding).
   const auto consumers = g.Consumers(n.id);
   if (consumers.size() == 1) {
     const Node& c = g.node(consumers[0]);
-    if (is_bolt(c.kind) || c.kind == OpKind::kPadChannels) return true;
+    if (IsComposite(c.kind) || c.kind == OpKind::kPadChannels) return true;
   }
   // Output-side: producer is a Bolt kernel.
   const Node& producer = g.node(n.inputs[0]);
-  return is_bolt(producer.kind);
+  return IsComposite(producer.kind);
 }
 
 /// JSON fields for the PassStats counters one pass contributed (empty when
@@ -178,52 +205,23 @@ void Engine::PreProfile(Profiler& profiler) {
   // single-flight cache deduplicates repeated workloads across jobs.
   std::vector<std::function<void()>> jobs;
   for (const Node& n : graph_.nodes()) {
-    switch (n.kind) {
-      case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
-        const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
-        jobs.push_back([&profiler, p, e] { profiler.ProfileGemm(p, e); });
-        break;
+    if (!IsComposite(n.kind)) continue;
+    jobs.push_back([&profiler, kind = n.kind, st = StagesOf(graph_, n)] {
+      switch (kind) {
+        case OpKind::kBoltGemm:
+          profiler.ProfileGemm(st.gemms[0], st.epilogues[0]);
+          break;
+        case OpKind::kBoltConv2d:
+          profiler.ProfileConv(st.convs[0], st.epilogues[0]);
+          break;
+        case OpKind::kBoltB2BGemm:
+          profiler.ProfileB2bGemm(st.gemms, st.epilogues);
+          break;
+        default:
+          profiler.ProfileB2bConv(st.convs, st.epilogues);
+          break;
       }
-      case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
-        const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
-        jobs.push_back([&profiler, p, e] { profiler.ProfileConv(p, e); });
-        break;
-      }
-      case OpKind::kBoltB2BGemm: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<GemmCoord> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(GemmProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        jobs.push_back([&profiler, problems = std::move(problems),
-                        epilogues = std::move(epilogues)] {
-          profiler.ProfileB2bGemm(problems, epilogues);
-        });
-        break;
-      }
-      case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<ConvProblem> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(ConvProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        jobs.push_back([&profiler, problems = std::move(problems),
-                        epilogues = std::move(epilogues)] {
-          profiler.ProfileB2bConv(problems, epilogues);
-        });
-        break;
-      }
-      default:
-        break;
-    }
+    });
   }
   pool->ParallelFor(static_cast<int64_t>(jobs.size()),
                     [&](int64_t i) { jobs[i](); });
@@ -234,87 +232,31 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
   // across nodes (and across compiles, via Save/LoadCache), so this walk
   // can be naive.  Measurement runs serially: each candidate launch may
   // itself fan out over the shared process pool.
-  auto record = [this](const CpuProfileResult& r) {
+  auto record = [this](const Result<CpuProfileResult>& r) -> Status {
+    if (!r.ok()) return r.status();
     ++report_.cpu_workloads_tuned;
-    if (r.cache_hit) {
+    if (r.value().cache_hit) {
       ++report_.cpu_cache_hits;
     } else {
-      report_.cpu_candidates_tried += r.candidates_tried;
-      report_.cpu_candidates_enumerated += r.candidates_enumerated;
-      if (r.ranked) ++report_.cpu_ranked_workloads;
+      report_.cpu_candidates_tried += r.value().candidates_tried;
+      report_.cpu_candidates_enumerated += r.value().candidates_enumerated;
+      if (r.value().ranked) ++report_.cpu_ranked_workloads;
     }
+    return Status::Ok();
   };
   for (const Node& n : graph_.nodes()) {
-    switch (n.kind) {
-      case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
+    if (IsComposite(n.kind)) {
+      // Persistent fusions execute stage-by-stage on the host kernels, so
+      // each stage problem is its own tunable workload.
+      const CompositeStages st = StagesOf(graph_, n);
+      for (const GemmCoord& p : st.gemms) {
         CpuGemmWorkload w;
         w.m = p.m;
         w.n = p.n;
         w.k = p.k;
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuGemm(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
-        break;
+        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuGemm(w)));
       }
-      case OpKind::kDense: {
-        // Unfused host dense: act [m, k] x weight [n, k]^T.
-        const TensorDesc& a = graph_.node(n.inputs[0]).out_desc;
-        const TensorDesc& wt = graph_.node(n.inputs[1]).out_desc;
-        if (a.shape.size() != 2 || wt.shape.size() != 2) break;
-        CpuGemmWorkload w;
-        w.m = a.shape[0];
-        w.n = wt.shape[0];
-        w.k = a.shape[1];
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuGemm(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
-        break;
-      }
-      case OpKind::kBoltB2BGemm: {
-        // Persistent fusions execute stage-by-stage on the host kernels,
-        // so each stage problem is its own tunable workload.
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        for (int s = 0; s < stages; ++s) {
-          const GemmCoord p = GemmProblemOf(graph_, n, s);
-          CpuGemmWorkload w;
-          w.m = p.m;
-          w.n = p.n;
-          w.k = p.k;
-          w.isa = options_.cpu_isa;
-          auto r = profiler.ProfileCpuGemm(w);
-          if (!r.ok()) return r.status();
-          record(r.value());
-        }
-        break;
-      }
-      case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        for (int s = 0; s < stages; ++s) {
-          const ConvProblem p = ConvProblemOf(graph_, n, s);
-          CpuConvWorkload w;
-          w.batch = p.n;
-          w.h = p.h;
-          w.w = p.w;
-          w.c = p.c;
-          w.oc = p.k;
-          w.kh = p.r;
-          w.kw = p.s;
-          w.params.stride_h = p.stride_h;
-          w.params.stride_w = p.stride_w;
-          w.params.pad_h = p.pad_h;
-          w.params.pad_w = p.pad_w;
-          w.isa = options_.cpu_isa;
-          auto r = profiler.ProfileCpuConv(w);
-          if (!r.ok()) return r.status();
-          record(r.value());
-        }
-        break;
-      }
-      case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
+      for (const ConvProblem& p : st.convs) {
         CpuConvWorkload w;
         w.batch = p.n;
         w.h = p.h;
@@ -327,49 +269,38 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
         w.params.stride_w = p.stride_w;
         w.params.pad_h = p.pad_h;
         w.params.pad_w = p.pad_w;
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuConv(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
-        break;
+        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(w)));
       }
-      case OpKind::kConv2d: {
-        // Unfused primitive conv (e.g. dilated) executed by the host
-        // kernels in Run().
-        const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
-        const TensorDesc& x = graph_.node(n.inputs[0]).out_desc;
-        const TensorDesc& wt = graph_.node(n.inputs[1]).out_desc;
-        if (x.shape.size() != 4 || wt.shape.size() != 4) break;
-        CpuConvWorkload w;
-        w.layout = x.layout;
-        w.batch = x.shape[0];
-        if (x.layout == Layout::kNHWC) {
-          w.h = x.shape[1];
-          w.w = x.shape[2];
-          w.c = x.shape[3];
-        } else {
-          // kNCHW and blocked kNCHWc both keep the logical NCHW shape.
-          w.c = x.shape[1];
-          w.h = x.shape[2];
-          w.w = x.shape[3];
-        }
-        w.oc = wt.shape[0];
-        w.kh = wt.shape[1];
-        w.kw = wt.shape[2];
-        w.params.stride_h = a.stride_h;
-        w.params.stride_w = a.stride_w;
-        w.params.pad_h = a.pad_h;
-        w.params.pad_w = a.pad_w;
-        w.params.dilation_h = a.dilation_h;
-        w.params.dilation_w = a.dilation_w;
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuConv(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
-        break;
+    } else if (n.kind == OpKind::kConv2d) {
+      // Unfused primitive conv (e.g. dilated) executed by the host
+      // kernels through the interpreter step in Run().
+      const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
+      const TensorDesc& x = graph_.node(n.inputs[0]).out_desc;
+      const TensorDesc& wt = graph_.node(n.inputs[1]).out_desc;
+      if (x.shape.size() != 4 || wt.shape.size() != 4) continue;
+      CpuConvWorkload w;
+      w.layout = x.layout;
+      w.batch = x.shape[0];
+      if (x.layout == Layout::kNHWC) {
+        w.h = x.shape[1];
+        w.w = x.shape[2];
+        w.c = x.shape[3];
+      } else {
+        // kNCHW and blocked kNCHWc both keep the logical NCHW shape.
+        w.c = x.shape[1];
+        w.h = x.shape[2];
+        w.w = x.shape[3];
       }
-      default:
-        break;
+      w.oc = wt.shape[0];
+      w.kh = wt.shape[1];
+      w.kw = wt.shape[2];
+      w.params.stride_h = a.stride_h;
+      w.params.stride_w = a.stride_w;
+      w.params.pad_h = a.pad_h;
+      w.params.pad_w = a.pad_w;
+      w.params.dilation_h = a.dilation_h;
+      w.params.dilation_w = a.dilation_w;
+      BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(w)));
     }
   }
   return Status::Ok();
@@ -386,26 +317,30 @@ Status Engine::BuildModule(Profiler& profiler) {
       case OpKind::kConstant:
         break;
       case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
-        const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
+        CompositeStages st = StagesOf(graph_, n);
+        const GemmCoord& p = st.gemms[0];
+        EpilogueSpec& e = st.epilogues[0];
         auto r = profiler.ProfileGemm(p, e);
         if (!r.ok()) return r.status();
         report_.candidates_tried += r.value().candidates_tried;
-        plans_[n.id].configs = {r.value().config};
         const std::string name = r.value().config.Name("gemm");
         module_.AddKernelSource(name,
                                 codegen::EmitGemmKernel(p, r.value().config,
                                                         e));
         module_.AddLaunch({LaunchKind::kGemm, name, n.id, r.value().us});
+        // Store at the node's declared precision: an FP32 graph must not
+        // be quantized through the EpilogueSpec's FP16 default.
+        e.output_dtype = n.out_desc.dtype;
+        plans_.emplace(n.id, GemmKernel(p, r.value().config, e));
         break;
       }
       case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
-        const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
+        CompositeStages st = StagesOf(graph_, n);
+        const ConvProblem& p = st.convs[0];
+        EpilogueSpec& e = st.epilogues[0];
         auto r = profiler.ProfileConv(p, e);
         if (!r.ok()) return r.status();
         report_.candidates_tried += r.value().candidates_tried;
-        plans_[n.id].configs = {r.value().config};
         codegen::EmitOptions eo;
         if (n.attrs.Has("padded_from_c")) {
           eo.pad_input_channels_to = p.c;
@@ -426,64 +361,58 @@ Status Engine::BuildModule(Profiler& profiler) {
         module_.AddKernelSource(
             name, codegen::EmitConvKernel(p, r.value().config, e, eo));
         module_.AddLaunch({LaunchKind::kConv, name, n.id, r.value().us});
+        e.output_dtype = n.out_desc.dtype;
+        plans_.emplace(n.id, Conv2dKernel(p, r.value().config, e));
         break;
       }
       case OpKind::kBoltB2BGemm: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<GemmCoord> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(GemmProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        B2bProfileResult r = profiler.ProfileB2bGemm(problems, epilogues);
+        const CompositeStages st = StagesOf(graph_, n);
+        B2bProfileResult r = profiler.ProfileB2bGemm(st.gemms, st.epilogues);
         if (!r.feasible) {
           return Status::Internal("b2b gemm node no longer feasible: " +
                                   n.name);
         }
-        plans_[n.id].configs = r.configs;
-        plans_[n.id].residence = r.residence;
         std::vector<B2bStage> kstages;
-        for (int s = 0; s < stages; ++s) {
-          kstages.push_back(B2bStage{problems[s], r.configs[s],
-                                     epilogues[s]});
+        for (size_t s = 0; s < st.gemms.size(); ++s) {
+          kstages.push_back(B2bStage{st.gemms[s], r.configs[s],
+                                     st.epilogues[s]});
         }
-        auto kernel = B2bGemmKernel::Create(kstages, r.residence, spec);
+        const std::string source =
+            codegen::EmitB2bGemmKernel(kstages, r.residence);
+        for (B2bStage& k : kstages) k.epilogue.output_dtype = n.out_desc.dtype;
+        auto kernel =
+            B2bGemmKernel::Create(std::move(kstages), r.residence, spec);
         if (!kernel.ok()) return kernel.status();
         const std::string name = kernel.value().Name();
-        module_.AddKernelSource(
-            name, codegen::EmitB2bGemmKernel(kstages, r.residence));
+        module_.AddKernelSource(name, source);
         module_.AddLaunch({LaunchKind::kB2bGemm, name, n.id, r.fused_us});
+        plans_.emplace(n.id, std::move(kernel).value());
         break;
       }
       case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<ConvProblem> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(ConvProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        B2bProfileResult r = profiler.ProfileB2bConv(problems, epilogues);
+        const CompositeStages st = StagesOf(graph_, n);
+        B2bProfileResult r = profiler.ProfileB2bConv(st.convs, st.epilogues);
         if (!r.feasible) {
           return Status::Internal("b2b conv node no longer feasible: " +
                                   n.name);
         }
-        plans_[n.id].configs = r.configs;
-        plans_[n.id].residence = r.residence;
         std::vector<B2bConvStage> kstages;
-        for (int s = 0; s < stages; ++s) {
-          kstages.push_back(B2bConvStage{problems[s], r.configs[s],
-                                         epilogues[s]});
+        for (size_t s = 0; s < st.convs.size(); ++s) {
+          kstages.push_back(B2bConvStage{st.convs[s], r.configs[s],
+                                         st.epilogues[s]});
         }
-        auto kernel = B2bConvKernel::Create(kstages, r.residence, spec);
+        const std::string source =
+            codegen::EmitB2bConvKernel(kstages, r.residence);
+        for (B2bConvStage& k : kstages) {
+          k.epilogue.output_dtype = n.out_desc.dtype;
+        }
+        auto kernel =
+            B2bConvKernel::Create(std::move(kstages), r.residence, spec);
         if (!kernel.ok()) return kernel.status();
         const std::string name = kernel.value().Name();
-        module_.AddKernelSource(
-            name, codegen::EmitB2bConvKernel(kstages, r.residence));
+        module_.AddKernelSource(name, source);
         module_.AddLaunch({LaunchKind::kB2bConv, name, n.id, r.fused_us});
+        plans_.emplace(n.id, std::move(kernel).value());
         break;
       }
       case OpKind::kPadChannels: {
@@ -626,252 +555,74 @@ Result<std::vector<std::vector<Tensor>>> Engine::RunBatch(
 
 Result<std::vector<Tensor>> Engine::Run(
     const std::map<std::string, Tensor>& inputs) const {
+  // Built per call rather than held as a member: an Engine is moved out of
+  // Result<Engine>, which would leave a member's `const Graph&` dangling.
+  const Interpreter interp(graph_);
   std::vector<Tensor> env(graph_.num_nodes());
-  const DeviceSpec& spec = options_.device;
-  const bool fast_host =
-      cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu;
-
-  // Consumer-edge counts let elementwise host ops steal their input's
-  // buffer instead of copying the whole tensor when no one else reads it.
-  std::vector<int> uses(graph_.num_nodes(), 0);
-  std::vector<char> is_out(graph_.num_nodes(), 0);
   for (const Node& n : graph_.nodes()) {
-    for (NodeId in : n.inputs) ++uses[in];
-  }
-  for (NodeId id : graph_.output_ids()) is_out[id] = 1;
-  auto take_or_copy = [&](NodeId src) -> Tensor {
-    if (uses[src] == 1 && !is_out[src]) return std::move(env[src]);
-    return env[src];
-  };
-
-  for (const Node& n : graph_.nodes()) {
-    switch (n.kind) {
-      case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
-        EpilogueSpec e = EpilogueFromAttrs(n.attrs);
-        // Store at the node's declared precision: an FP32 graph must not
-        // be quantized through the EpilogueSpec's FP16 default.
-        e.output_dtype = n.out_desc.dtype;
-        const auto& plan = plans_.at(n.id);
-        GemmKernel kernel(p, plan.configs[0], e);
-        cutlite::GemmArguments args;
-        args.a = &env[n.inputs[0]];
-        args.w = &env[n.inputs[1]];
-        int idx = 2;
-        if (e.has_bias) args.bias = &env[n.inputs[idx++]];
-        if (e.has_residual) args.c = &env[n.inputs[idx++]];
-        auto out = kernel.Run(args);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
-        EpilogueSpec e = EpilogueFromAttrs(n.attrs);
-        e.output_dtype = n.out_desc.dtype;
-        const auto& plan = plans_.at(n.id);
-        Conv2dKernel kernel(p, plan.configs[0], e);
-        int idx = 2;
-        const Tensor* bias = e.has_bias ? &env[n.inputs[idx++]] : nullptr;
-        const Tensor* residual =
-            e.has_residual ? &env[n.inputs[idx++]] : nullptr;
-        auto out = kernel.Run(env[n.inputs[0]], env[n.inputs[1]], bias,
-                              residual);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kBoltB2BGemm: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        const auto& plan = plans_.at(n.id);
-        std::vector<B2bStage> kstages;
-        std::vector<const Tensor*> weights, biases;
-        int idx = 1;
-        for (int s = 0; s < stages; ++s) {
-          const GemmCoord p = GemmProblemOf(graph_, n, s);
-          EpilogueSpec e = EpilogueFromAttrs(n.attrs, StrCat("s", s, "_"));
-          e.output_dtype = n.out_desc.dtype;
-          kstages.push_back(B2bStage{p, plan.configs[s], e});
-          weights.push_back(&env[n.inputs[idx++]]);
-          biases.push_back(e.has_bias ? &env[n.inputs[idx++]] : nullptr);
-        }
-        auto kernel = B2bGemmKernel::Create(kstages, plan.residence, spec);
-        if (!kernel.ok()) return kernel.status();
-        auto out = kernel.value().Run(env[n.inputs[0]], weights, biases);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        const auto& plan = plans_.at(n.id);
-        std::vector<B2bConvStage> kstages;
-        std::vector<const Tensor*> weights, biases;
-        int idx = 1;
-        for (int s = 0; s < stages; ++s) {
-          const ConvProblem p = ConvProblemOf(graph_, n, s);
-          EpilogueSpec e = EpilogueFromAttrs(n.attrs, StrCat("s", s, "_"));
-          e.output_dtype = n.out_desc.dtype;
-          kstages.push_back(B2bConvStage{p, plan.configs[s], e});
-          weights.push_back(&env[n.inputs[idx++]]);
-          biases.push_back(e.has_bias ? &env[n.inputs[idx++]] : nullptr);
-        }
-        auto kernel = B2bConvKernel::Create(kstages, plan.residence, spec);
-        if (!kernel.ok()) return kernel.status();
-        auto out = kernel.value().Run(env[n.inputs[0]], weights, biases);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kInput: {
-        auto it = inputs.find(n.name);
-        if (it == inputs.end()) {
-          return Status::InvalidArgument("missing input tensor: " + n.name);
-        }
-        env[n.id] = it->second;
-        env[n.id].Quantize();
-        break;
-      }
-      case OpKind::kConstant:
-        if (!graph_.is_constant(n.id)) {
-          return Status::FailedPrecondition(
-              "constant " + n.name + " has no materialized data");
-        }
-        env[n.id] = graph_.constant(n.id);
-        break;
-      case OpKind::kPadChannels:
-        env[n.id] = refop::PadChannels(env[n.inputs[0]],
-                                       n.out_desc.shape.back());
-        break;
-      case OpKind::kBatchNorm:
-        env[n.id] = refop::BatchNorm(
-            env[n.inputs[0]], env[n.inputs[1]], env[n.inputs[2]],
-            env[n.inputs[3]], env[n.inputs[4]],
-            static_cast<float>(n.attrs.GetFloat("eps", 1e-5)));
-        break;
-      case OpKind::kConcat: {
-        std::vector<const Tensor*> parts;
-        for (NodeId in : n.inputs) parts.push_back(&env[in]);
-        env[n.id] = refop::Concat(parts);
-        break;
-      }
-      case OpKind::kConv2d: {
-        // Unfused primitive conv (e.g. dilated, which the epilogue-fusion
-        // pass leaves alone): execute on the host kernels directly.
-        const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
-        if (fast_host) {
-          cpukernels::ConvParams p;
-          p.stride_h = a.stride_h;
-          p.stride_w = a.stride_w;
-          p.pad_h = a.pad_h;
-          p.pad_w = a.pad_w;
-          p.dilation_h = a.dilation_h;
-          p.dilation_w = a.dilation_w;
-          cpukernels::Epilogue epi;
-          epi.output_dtype = n.out_desc.dtype;
-          epi.boundary_quantize = true;
-          // Profiler-tuned block for this implicit-GEMM shape, if any.
-          const cpukernels::ConvGemmShape shape =
-              cpukernels::ResolveConvGemmShape(env[n.inputs[0]],
-                                               env[n.inputs[1]], p);
-          // Shape-bucketed reuse: a batched serving execution whose exact
-          // implicit-GEMM shape was never tuned still rides the nearest
-          // tuned batch size for the same (n, k).
-          const cpukernels::BlockConfig block =
-              cpukernels::FindTunedBlockNearBatch(
-                  cpukernels::TunedKind::kConv, shape.m, shape.n, shape.k,
-                  cpukernels::DefaultBackend(),
-                  env[n.inputs[0]].layout())
-                  .value_or(cpukernels::BlockConfig{});
-          env[n.id] =
-              cpukernels::Conv2d(env[n.inputs[0]], env[n.inputs[1]], p, epi,
-                                 block, &cpukernels::ProcessPool());
-        } else {
-          env[n.id] = refop::Conv2d(env[n.inputs[0]], env[n.inputs[1]], a);
-        }
-        break;
-      }
-      case OpKind::kDense: {
-        if (fast_host) {
-          cpukernels::Epilogue epi;
-          epi.output_dtype = n.out_desc.dtype;
-          epi.boundary_quantize = true;
-          const Tensor& act = env[n.inputs[0]];
-          const Tensor& wt = env[n.inputs[1]];
-          const cpukernels::BlockConfig block =
-              cpukernels::FindTunedBlockNearBatch(
-                  cpukernels::TunedKind::kGemm, act.shape()[0],
-                  wt.shape()[0], act.shape()[1],
-                  cpukernels::DefaultBackend())
-                  .value_or(cpukernels::BlockConfig{});
-          env[n.id] = cpukernels::Gemm(act, wt, epi, block,
-                                       &cpukernels::ProcessPool());
-        } else {
-          env[n.id] = refop::Dense(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      }
-      case OpKind::kBiasAdd: {
-        Tensor t = take_or_copy(n.inputs[0]);
-        refop::BiasAddInPlace(t, env[n.inputs[1]]);
-        env[n.id] = std::move(t);
-        break;
-      }
-      case OpKind::kActivation: {
-        auto k = ActivationFromName(n.attrs.GetStr("kind"));
-        if (!k.ok()) return k.status();
-        Tensor t = take_or_copy(n.inputs[0]);
-        refop::ActivationInPlace(t, k.value());
-        env[n.id] = std::move(t);
-        break;
-      }
-      case OpKind::kAdd:
-        if (n.inputs[0] != n.inputs[1]) {
-          Tensor t = take_or_copy(n.inputs[0]);
-          refop::AddInPlace(t, env[n.inputs[1]]);
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = refop::Add(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      case OpKind::kMul:
-        if (n.inputs[0] != n.inputs[1]) {
-          Tensor t = take_or_copy(n.inputs[0]);
-          refop::MulInPlace(t, env[n.inputs[1]]);
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = refop::Mul(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      case OpKind::kCast:
-        env[n.id] = env[n.inputs[0]].Cast(n.out_desc.dtype);
-        break;
-      case OpKind::kMaxPool2d:
-        env[n.id] =
-            refop::MaxPool2d(env[n.inputs[0]], n.attrs.GetInt("kernel"),
-                             n.attrs.GetInt("stride"));
-        break;
-      case OpKind::kGlobalAvgPool:
-        env[n.id] = refop::GlobalAvgPool(env[n.inputs[0]]);
-        break;
-      case OpKind::kFlatten:
-        env[n.id] = refop::Flatten(env[n.inputs[0]]);
-        break;
-      case OpKind::kSoftmax:
-        env[n.id] = refop::Softmax(env[n.inputs[0]]);
-        break;
-      case OpKind::kLayoutTransform:
-        env[n.id] = refop::LayoutTransform(env[n.inputs[0]],
-                                           n.out_desc.layout);
-        break;
-      default:
-        return Status::Unsupported(StrCat("engine cannot execute op ",
-                                          OpKindName(n.kind)));
+    if (!IsComposite(n.kind)) {
+      BOLT_RETURN_IF_ERROR(interp.RunNode(n, inputs, env));
+      continue;
     }
+    auto out = RunComposite(n, env);
+    if (!out.ok()) return out.status();
+    env[n.id] = std::move(out).value();
   }
   std::vector<Tensor> outs;
   for (NodeId id : graph_.output_ids()) outs.push_back(env[id]);
   return outs;
+}
+
+Result<Tensor> Engine::RunComposite(const Node& n,
+                                    const std::vector<Tensor>& env) const {
+  const NodePlan& plan = plans_.at(n.id);
+  // Operands in node-input order: activation, then per stage the weight
+  // and (when the epilogue has one) the bias; a residual comes last.
+  size_t next = 0;
+  auto arg = [&] { return &env[n.inputs[next++]]; };
+  switch (n.kind) {
+    case OpKind::kBoltGemm: {
+      const GemmKernel& kernel = std::get<GemmKernel>(plan);
+      cutlite::GemmArguments args;
+      args.a = arg();
+      args.w = arg();
+      if (kernel.epilogue().has_bias) args.bias = arg();
+      if (kernel.epilogue().has_residual) args.c = arg();
+      return kernel.Run(args);
+    }
+    case OpKind::kBoltConv2d: {
+      const Conv2dKernel& kernel = std::get<Conv2dKernel>(plan);
+      const Tensor* x = arg();
+      const Tensor* w = arg();
+      const Tensor* bias = kernel.epilogue().has_bias ? arg() : nullptr;
+      const Tensor* residual =
+          kernel.epilogue().has_residual ? arg() : nullptr;
+      return kernel.Run(*x, *w, bias, residual);
+    }
+    case OpKind::kBoltB2BGemm: {
+      const B2bGemmKernel& kernel = std::get<B2bGemmKernel>(plan);
+      const Tensor* x = arg();
+      std::vector<const Tensor*> weights, biases;
+      for (const B2bStage& s : kernel.stages()) {
+        weights.push_back(arg());
+        biases.push_back(s.epilogue.has_bias ? arg() : nullptr);
+      }
+      return kernel.Run(*x, weights, biases);
+    }
+    case OpKind::kBoltB2BConv: {
+      const B2bConvKernel& kernel = std::get<B2bConvKernel>(plan);
+      const Tensor* x = arg();
+      std::vector<const Tensor*> weights, biases;
+      for (const B2bConvStage& s : kernel.stages()) {
+        weights.push_back(arg());
+        biases.push_back(s.epilogue.has_bias ? arg() : nullptr);
+      }
+      return kernel.Run(*x, weights, biases);
+    }
+    default:
+      return Status::Internal(
+          StrCat("not a bolt composite: ", OpKindName(n.kind)));
+  }
 }
 
 }  // namespace bolt

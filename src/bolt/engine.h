@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bolt/passes.h"
@@ -56,14 +57,6 @@ struct CompileOptions {
   /// BOLT_CPU_BACKEND=ref (the reference oracle must not depend on
   /// tuning state).
   bool tune_cpu_kernels = false;
-  /// Micro-kernel ISA mode for CPU execution and tuning
-  /// (cpukernels/cpuinfo.h).  kAuto follows BOLT_CPU_ISA and defaults to
-  /// the bit-exact scalar tier; kAvx2 opts this compile into the
-  /// ULP-bounded AVX2+FMA kernels (clamped to host capability, and
-  /// overridden by BOLT_CPU_ISA=scalar).  When CPU tuning is enabled the
-  /// mode also widens candidate enumeration: under AVX2 the profiler
-  /// measures scalar and AVX2 variants of every blocking.
-  cpukernels::CpuIsa cpu_isa = cpukernels::CpuIsa::kAuto;
 };
 
 struct TuningReport {
@@ -117,6 +110,8 @@ class Engine {
   const DeviceSpec& device() const { return options_.device; }
 
   /// Functional execution (FP16-faithful). Weights must be materialized.
+  /// bolt.* nodes run the kernels built at Compile; every other node runs
+  /// through Interpreter::RunNode.
   Result<std::vector<Tensor>> Run(
       const std::map<std::string, Tensor>& inputs) const;
 
@@ -141,12 +136,12 @@ class Engine {
       const std::vector<Tensor>& requests) const;
 
  private:
-  /// Per-node kernel plan recorded at compile time.
-  struct NodePlan {
-    std::vector<cutlite::KernelConfig> configs;  // one per stage
-    cutlite::ResidenceKind residence =
-        cutlite::ResidenceKind::kRegisterFile;
-  };
+  /// The kernel BuildModule built for one bolt.* node: its problem,
+  /// profiled config(s) and epilogue(s) are fixed, so Run only binds
+  /// tensors.
+  using NodePlan =
+      std::variant<cutlite::GemmKernel, cutlite::Conv2dKernel,
+                   cutlite::B2bGemmKernel, cutlite::B2bConvKernel>;
 
   Engine(Graph graph, CompileOptions options)
       : graph_(std::move(graph)), options_(std::move(options)) {}
@@ -164,6 +159,10 @@ class Engine {
   /// registers the winners for execution-time lookup.  Accumulates the
   /// cpu_* fields of report_.
   Status TuneCpuKernels(Profiler& profiler);
+
+  /// Runs bolt.* node `n` on its planned kernel over `env`.
+  Result<Tensor> RunComposite(const Node& n,
+                              const std::vector<Tensor>& env) const;
 
   Graph graph_;
   CompileOptions options_;

@@ -115,11 +115,6 @@ inline MicroPlan SelectMicroPlan(CpuIsa resolved) {
   return {&MicroKernel, kNR};
 }
 
-/// Back-compat shim for callers that only need the kernel pointer.
-inline MicroKernelFn SelectMicroKernel(CpuIsa resolved) {
-  return SelectMicroPlan(resolved).fn;
-}
-
 /// Everything GemmCore resolves once per launch and the loop nest then
 /// treats as immutable: the micro-kernel and its nr, whether the SIMD
 /// pack / epilogue paths are active, the translated activation opcodes

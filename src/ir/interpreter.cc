@@ -428,6 +428,21 @@ void Interpreter::BuildPlan() {
   }
 }
 
+namespace {
+
+// The block a fast-backend launch runs with: the tuned block for the shape
+// (exact first, then the nearest tuned batch size for the same (n, k)) or
+// the configured fallback.
+cpukernels::BlockConfig BlockFor(const InterpreterOptions& o,
+                                 cpukernels::TunedKind kind, int64_t m,
+                                 int64_t n, int64_t k, Layout layout) {
+  if (!o.use_tuned_blocks) return o.block;
+  return cpukernels::FindTunedBlockNearBatch(kind, m, n, k, o.backend, layout)
+      .value_or(o.block);
+}
+
+}  // namespace
+
 ThreadPool* Interpreter::ResolvePool() const {
   if (options_.pool != nullptr) return options_.pool;
   if (options_.parallel) return &cpukernels::ProcessPool();
@@ -437,6 +452,8 @@ ThreadPool* Interpreter::ResolvePool() const {
 Tensor Interpreter::RunChain(const FusedChain& ch,
                              const std::vector<Tensor>& env) const {
   const Node& a = graph_.node(ch.anchor);
+  const Tensor& x = env[a.inputs[0]];
+  const Tensor& w = env[a.inputs[1]];
   cpukernels::Epilogue epi;
   epi.output_dtype = graph_.node(ch.result).out_desc.dtype;
   epi.boundary_quantize = true;
@@ -453,30 +470,18 @@ Tensor Interpreter::RunChain(const FusedChain& ch,
     p.pad_w = attrs.pad_w;
     p.dilation_h = attrs.dilation_h;
     p.dilation_w = attrs.dilation_w;
-    cpukernels::BlockConfig block = options_.block;
-    if (options_.use_tuned_blocks) {
-      const cpukernels::ConvGemmShape shape = cpukernels::ResolveConvGemmShape(
-          env[a.inputs[0]], env[a.inputs[1]], p);
-      if (auto tuned = cpukernels::FindTunedBlockForBackend(
-              cpukernels::TunedKind::kConv, shape.m, shape.n, shape.k,
-              options_.backend, env[a.inputs[0]].layout())) {
-        block = *tuned;
-      }
-    }
-    return cpukernels::Conv2d(env[a.inputs[0]], env[a.inputs[1]], p, epi,
-                              block, pool);
+    const cpukernels::ConvGemmShape shape =
+        cpukernels::ResolveConvGemmShape(x, w, p);
+    return cpukernels::Conv2d(
+        x, w, p, epi,
+        BlockFor(options_, cpukernels::TunedKind::kConv, shape.m, shape.n,
+                 shape.k, x.layout()),
+        pool);
   }
-  cpukernels::BlockConfig block = options_.block;
-  if (options_.use_tuned_blocks) {
-    const Tensor& act = env[a.inputs[0]];
-    const Tensor& wt = env[a.inputs[1]];
-    if (auto tuned = cpukernels::FindTunedBlockForBackend(
-            cpukernels::TunedKind::kGemm, act.shape()[0], wt.shape()[0],
-            act.shape()[1], options_.backend)) {
-      block = *tuned;
-    }
-  }
-  return cpukernels::Gemm(env[a.inputs[0]], env[a.inputs[1]], epi, block,
+  return cpukernels::Gemm(x, w, epi,
+                          BlockFor(options_, cpukernels::TunedKind::kGemm,
+                                   x.shape()[0], w.shape()[0], x.shape()[1],
+                                   Layout::kRowMajor),
                           pool);
 }
 
@@ -491,133 +496,148 @@ Result<std::vector<Tensor>> Interpreter::Run(
     const std::map<std::string, Tensor>& inputs) const {
   std::vector<Tensor> env(graph_.num_nodes());
   for (const Node& n : graph_.nodes()) {
-    if (fast_) {
-      if (fused_member_[n.id]) continue;  // computed at its chain's result
-      auto it = chains_.find(n.id);
-      if (it != chains_.end()) {
-        env[n.id] = RunChain(it->second, env);
-        continue;
-      }
-    }
-    switch (n.kind) {
-      case OpKind::kInput: {
-        auto it = inputs.find(n.name);
-        if (it == inputs.end()) {
-          return Status::InvalidArgument("missing input tensor: " + n.name);
-        }
-        env[n.id] = it->second;
-        env[n.id].Quantize();
-        break;
-      }
-      case OpKind::kConstant:
-        if (!graph_.is_constant(n.id)) {
-          return Status::FailedPrecondition(
-              "constant " + n.name +
-              " has no materialized data (timing-only graph)");
-        }
-        env[n.id] = graph_.constant(n.id);
-        break;
-      case OpKind::kConv2d:
-        env[n.id] = refop::Conv2d(env[n.inputs[0]], env[n.inputs[1]],
-                                  Conv2dAttrs::FromNode(n));
-        break;
-      case OpKind::kDense:
-        env[n.id] = refop::Dense(env[n.inputs[0]], env[n.inputs[1]]);
-        break;
-      case OpKind::kBiasAdd: {
-        if (fast_) {
-          Tensor t = TakeOrCopy(env, n.inputs[0]);
-          refop::BiasAddInPlace(t, env[n.inputs[1]]);
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = refop::BiasAdd(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      }
-      case OpKind::kActivation: {
-        auto kind = ActivationFromName(n.attrs.GetStr("kind"));
-        if (!kind.ok()) return kind.status();
-        if (fast_) {
-          Tensor t = TakeOrCopy(env, n.inputs[0]);
-          refop::ActivationInPlace(t, kind.value());
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = refop::Activation(env[n.inputs[0]], kind.value());
-        }
-        break;
-      }
-      case OpKind::kAdd:
-      case OpKind::kMul: {
-        const NodeId lhs = n.inputs[0], rhs = n.inputs[1];
-        const bool mul = n.kind == OpKind::kMul;
-        if (fast_ && uses_[lhs] == 1 && !is_output_[lhs] && lhs != rhs) {
-          Tensor t = std::move(env[lhs]);
-          mul ? refop::MulInPlace(t, env[rhs])
-              : refop::AddInPlace(t, env[rhs]);
-          env[n.id] = std::move(t);
-        } else if (fast_ && uses_[rhs] == 1 && !is_output_[rhs] &&
-                   lhs != rhs &&
-                   graph_.node(lhs).out_desc == graph_.node(rhs).out_desc) {
-          // Commutative: accumulate into the right operand's buffer.
-          Tensor t = std::move(env[rhs]);
-          mul ? refop::MulInPlace(t, env[lhs])
-              : refop::AddInPlace(t, env[lhs]);
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = mul ? refop::Mul(env[lhs], env[rhs])
-                          : refop::Add(env[lhs], env[rhs]);
-        }
-        break;
-      }
-      case OpKind::kCast:
-        env[n.id] = env[n.inputs[0]].Cast(n.out_desc.dtype);
-        break;
-      case OpKind::kMaxPool2d:
-        env[n.id] = refop::MaxPool2d(env[n.inputs[0]],
-                                     n.attrs.GetInt("kernel"),
-                                     n.attrs.GetInt("stride"));
-        break;
-      case OpKind::kGlobalAvgPool:
-        env[n.id] = refop::GlobalAvgPool(env[n.inputs[0]]);
-        break;
-      case OpKind::kFlatten:
-        env[n.id] = refop::Flatten(env[n.inputs[0]]);
-        break;
-      case OpKind::kSoftmax:
-        env[n.id] = refop::Softmax(env[n.inputs[0]]);
-        break;
-      case OpKind::kLayoutTransform: {
-        Layout to = n.out_desc.layout;
-        env[n.id] = refop::LayoutTransform(env[n.inputs[0]], to);
-        break;
-      }
-      case OpKind::kPadChannels:
-        env[n.id] = refop::PadChannels(env[n.inputs[0]],
-                                       n.out_desc.shape.back());
-        break;
-      case OpKind::kBatchNorm:
-        env[n.id] = refop::BatchNorm(
-            env[n.inputs[0]], env[n.inputs[1]], env[n.inputs[2]],
-            env[n.inputs[3]], env[n.inputs[4]],
-            static_cast<float>(n.attrs.GetFloat("eps", 1e-5)));
-        break;
-      case OpKind::kConcat: {
-        std::vector<const Tensor*> parts;
-        for (NodeId in : n.inputs) parts.push_back(&env[in]);
-        env[n.id] = refop::Concat(parts);
-        break;
-      }
-      default:
-        return Status::Unsupported(
-            StrCat("interpreter cannot execute composite op ",
-                   OpKindName(n.kind), " (node ", n.name,
-                   "); use the Bolt engine"));
-    }
+    BOLT_RETURN_IF_ERROR(RunNode(n, inputs, env));
   }
   std::vector<Tensor> outs;
   outs.reserve(graph_.output_ids().size());
   for (NodeId id : graph_.output_ids()) outs.push_back(env[id]);
   return outs;
+}
+
+Status Interpreter::RunNode(const Node& n,
+                            const std::map<std::string, Tensor>& inputs,
+                            std::vector<Tensor>& env) const {
+  if (fast_) {
+    if (fused_member_[n.id]) return Status::Ok();  // run at the chain result
+    auto it = chains_.find(n.id);
+    if (it != chains_.end()) {
+      env[n.id] = RunChain(it->second, env);
+      return Status::Ok();
+    }
+  }
+  switch (n.kind) {
+    case OpKind::kInput: {
+      auto it = inputs.find(n.name);
+      if (it == inputs.end()) {
+        return Status::InvalidArgument("missing input tensor: " + n.name);
+      }
+      // Kernels (and fused epilogue pointers) are sized from the declared
+      // descs, so a mis-shaped tensor must be refused here.
+      if (it->second.shape() != n.out_desc.shape) {
+        return Status::InvalidArgument(
+            StrCat("input tensor ", n.name, " has shape ",
+                   it->second.desc().ToString(), ", graph declares ",
+                   n.out_desc.ToString()));
+      }
+      env[n.id] = it->second;
+      env[n.id].Quantize();
+      break;
+    }
+    case OpKind::kConstant:
+      if (!graph_.is_constant(n.id)) {
+        return Status::FailedPrecondition(
+            "constant " + n.name +
+            " has no materialized data (timing-only graph)");
+      }
+      env[n.id] = graph_.constant(n.id);
+      break;
+    case OpKind::kConv2d:
+      env[n.id] = refop::Conv2d(env[n.inputs[0]], env[n.inputs[1]],
+                                Conv2dAttrs::FromNode(n));
+      break;
+    case OpKind::kDense:
+      env[n.id] = refop::Dense(env[n.inputs[0]], env[n.inputs[1]]);
+      break;
+    case OpKind::kBiasAdd: {
+      if (fast_) {
+        Tensor t = TakeOrCopy(env, n.inputs[0]);
+        refop::BiasAddInPlace(t, env[n.inputs[1]]);
+        env[n.id] = std::move(t);
+      } else {
+        env[n.id] = refop::BiasAdd(env[n.inputs[0]], env[n.inputs[1]]);
+      }
+      break;
+    }
+    case OpKind::kActivation: {
+      auto kind = ActivationFromName(n.attrs.GetStr("kind"));
+      if (!kind.ok()) return kind.status();
+      if (fast_) {
+        Tensor t = TakeOrCopy(env, n.inputs[0]);
+        refop::ActivationInPlace(t, kind.value());
+        env[n.id] = std::move(t);
+      } else {
+        env[n.id] = refop::Activation(env[n.inputs[0]], kind.value());
+      }
+      break;
+    }
+    case OpKind::kAdd:
+    case OpKind::kMul: {
+      const NodeId lhs = n.inputs[0], rhs = n.inputs[1];
+      const bool mul = n.kind == OpKind::kMul;
+      if (fast_ && uses_[lhs] == 1 && !is_output_[lhs] && lhs != rhs) {
+        Tensor t = std::move(env[lhs]);
+        mul ? refop::MulInPlace(t, env[rhs])
+            : refop::AddInPlace(t, env[rhs]);
+        env[n.id] = std::move(t);
+      } else if (fast_ && uses_[rhs] == 1 && !is_output_[rhs] &&
+                 lhs != rhs &&
+                 graph_.node(lhs).out_desc == graph_.node(rhs).out_desc) {
+        // Commutative: accumulate into the right operand's buffer.
+        Tensor t = std::move(env[rhs]);
+        mul ? refop::MulInPlace(t, env[lhs])
+            : refop::AddInPlace(t, env[lhs]);
+        env[n.id] = std::move(t);
+      } else {
+        env[n.id] = mul ? refop::Mul(env[lhs], env[rhs])
+                        : refop::Add(env[lhs], env[rhs]);
+      }
+      break;
+    }
+    case OpKind::kCast:
+      env[n.id] = env[n.inputs[0]].Cast(n.out_desc.dtype);
+      break;
+    case OpKind::kMaxPool2d:
+      env[n.id] = refop::MaxPool2d(env[n.inputs[0]],
+                                   n.attrs.GetInt("kernel"),
+                                   n.attrs.GetInt("stride"));
+      break;
+    case OpKind::kGlobalAvgPool:
+      env[n.id] = refop::GlobalAvgPool(env[n.inputs[0]]);
+      break;
+    case OpKind::kFlatten:
+      env[n.id] = refop::Flatten(env[n.inputs[0]]);
+      break;
+    case OpKind::kSoftmax:
+      env[n.id] = refop::Softmax(env[n.inputs[0]]);
+      break;
+    case OpKind::kLayoutTransform: {
+      Layout to = n.out_desc.layout;
+      env[n.id] = refop::LayoutTransform(env[n.inputs[0]], to);
+      break;
+    }
+    case OpKind::kPadChannels:
+      env[n.id] = refop::PadChannels(env[n.inputs[0]],
+                                     n.out_desc.shape.back());
+      break;
+    case OpKind::kBatchNorm:
+      env[n.id] = refop::BatchNorm(
+          env[n.inputs[0]], env[n.inputs[1]], env[n.inputs[2]],
+          env[n.inputs[3]], env[n.inputs[4]],
+          static_cast<float>(n.attrs.GetFloat("eps", 1e-5)));
+      break;
+    case OpKind::kConcat: {
+      std::vector<const Tensor*> parts;
+      for (NodeId in : n.inputs) parts.push_back(&env[in]);
+      env[n.id] = refop::Concat(parts);
+      break;
+    }
+    default:
+      return Status::Unsupported(
+          StrCat("interpreter cannot execute composite op ",
+                 OpKindName(n.kind), " (node ", n.name,
+                 "); use the Bolt engine"));
+  }
+  return Status::Ok();
 }
 
 }  // namespace bolt

@@ -15,9 +15,11 @@
 //  * kReference: the original naive per-op loops, kept as the oracle (see
 //    RefExecutor below).  BOLT_CPU_BACKEND=ref selects it process-wide.
 //
-// The Bolt engine's fused kernels are validated against this interpreter,
-// and the engine reuses the per-op refop kernels for non-offloaded
-// (TVM-fallback) nodes.
+// The interpreter is the only place that dispatches primitive ops.  The
+// Bolt engine executes every non-offloaded (TVM-fallback) node through
+// Interpreter::RunNode, so host ops get the same chain fusion, buffer
+// stealing and tuned-block lookup in both executors; the engine's fused
+// bolt.* kernels are validated against this interpreter.
 
 #pragma once
 
@@ -34,7 +36,7 @@
 
 namespace bolt {
 
-/// Per-op reference kernels (exposed for reuse by the Bolt engine).
+/// Per-op reference kernels.
 namespace refop {
 
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Conv2dAttrs& attrs);
@@ -98,6 +100,14 @@ class Interpreter {
   /// Runs the graph. `inputs` maps input-node names to tensors.
   Result<std::vector<Tensor>> Run(
       const std::map<std::string, Tensor>& inputs) const;
+
+  /// Executes one node of the graph into `env` (indexed by NodeId; every
+  /// earlier node already executed).  A fused-chain member does nothing:
+  /// the whole chain runs at its result node.  May move a single-reader
+  /// input out of `env`.  An input whose shape differs from its node's
+  /// declared shape is rejected with InvalidArgument.
+  Status RunNode(const Node& n, const std::map<std::string, Tensor>& inputs,
+                 std::vector<Tensor>& env) const;
 
   const InterpreterOptions& options() const { return options_; }
 

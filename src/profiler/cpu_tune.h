@@ -36,20 +36,8 @@ namespace bolt {
 /// A representative GEMM workload: D[m, n] = A[m, k] x W[n, k]^T.
 struct CpuGemmWorkload {
   int64_t m = 0, n = 0, k = 0;
-  /// ISA mode the sweep enumerates under (CompileOptions::cpu_isa).
-  /// kAuto follows the process default; when the mode resolves to AVX2
-  /// the sweep measures scalar and AVX2 variants of every blocking.
-  cpukernels::CpuIsa isa = cpukernels::CpuIsa::kAuto;
 
-  std::string ToString() const {
-    std::string s = StrCat(m, "x", n, "x", k);
-    // kAuto keeps the historical workload spelling (cache-key stable);
-    // an explicit per-compile mode is part of the workload identity.
-    if (isa != cpukernels::CpuIsa::kAuto) {
-      s += StrCat("__isa_", cpukernels::CpuIsaName(isa));
-    }
-    return s;
-  }
+  std::string ToString() const { return StrCat(m, "x", n, "x", k); }
 };
 
 /// A representative conv workload (implicit GEMM, see cpukernels/conv.h).
@@ -58,22 +46,15 @@ struct CpuConvWorkload {
   int64_t oc = 0, kh = 1, kw = 1;          // filter
   cpukernels::ConvParams params;
   Layout layout = Layout::kNHWC;
-  /// See CpuGemmWorkload::isa.
-  cpukernels::CpuIsa isa = cpukernels::CpuIsa::kAuto;
 
   /// The implicit-GEMM problem dims (registry key for tuned blocks).
   cpukernels::ConvGemmShape GemmShape() const;
 
   std::string ToString() const {
-    std::string s =
-        StrCat(batch, "x", h, "x", w, "x", c, "_oc", oc, "_f", kh, "x",
-               kw, "_s", params.stride_h, "x", params.stride_w, "_p",
-               params.pad_h, "x", params.pad_w, "_d", params.dilation_h,
-               "x", params.dilation_w, "_", LayoutName(layout));
-    if (isa != cpukernels::CpuIsa::kAuto) {
-      s += StrCat("__isa_", cpukernels::CpuIsaName(isa));
-    }
-    return s;
+    return StrCat(batch, "x", h, "x", w, "x", c, "_oc", oc, "_f", kh, "x",
+                  kw, "_s", params.stride_h, "x", params.stride_w, "_p",
+                  params.pad_h, "x", params.pad_w, "_d", params.dilation_h,
+                  "x", params.dilation_w, "_", LayoutName(layout));
   }
 };
 

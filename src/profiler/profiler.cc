@@ -871,7 +871,7 @@ Result<CpuProfileResult> Profiler::ProfileCpuGemm(
   const std::string key = CpuCacheKey("gemm", workload.ToString(), threads);
   const auto candidates = EnumerateCpuBlockCandidates(
       cpukernels::HostCacheInfo(), workload.m, workload.n, workload.k,
-      threads, workload.isa);
+      threads);
   // Operand buffers are only materialized if the sweep actually measures.
   std::optional<CpuGemmMeasurer> measurer;
   return RunCpuSweep(
@@ -901,8 +901,7 @@ Result<CpuProfileResult> Profiler::ProfileCpuConv(
              workload.ToString()),
       threads);
   const auto candidates = EnumerateCpuBlockCandidates(
-      cpukernels::HostCacheInfo(), shape.m, shape.n, shape.k, threads,
-      workload.isa);
+      cpukernels::HostCacheInfo(), shape.m, shape.n, shape.k, threads);
   std::optional<CpuConvMeasurer> measurer;
   return RunCpuSweep(
       key, cpukernels::TunedKind::kConv, shape.m, shape.n, shape.k,

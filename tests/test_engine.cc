@@ -7,7 +7,9 @@
 #include "bolt/engine.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "cpukernels/cpuinfo.h"
 #include "ir/interpreter.h"
+#include "testing/diff_harness.h"
 
 namespace bolt {
 namespace {
@@ -174,6 +176,75 @@ TEST(EngineTest, MissingInputRejected) {
   auto out = engine->Run({});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, MisShapedInputRejected) {
+  // The fused kernels are planned from the declared descs; a tensor of a
+  // different shape must come back as a Status, not abort or over-read.
+  GraphBuilder b(DType::kFloat16, Layout::kNHWC);
+  NodeId x = b.Input("x", {8, 64});
+  NodeId y = b.Dense(x, b.Constant("w", RandomWeight({64, 64}, 41)));
+  y = b.Add(y, b.Constant("r", RandomWeight({8, 64}, 42)));
+  b.MarkOutput(y);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  auto engine = Engine::Compile(*g, CompileOptions{});
+  ASSERT_TRUE(engine.ok());
+
+  Tensor input(TensorDesc(DType::kFloat16, {16, 64}));
+  auto out = engine->Run({{"x", input}});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Contains(out.status().message(), "input tensor x "));
+}
+
+TEST(EngineTest, PrimitiveHostOpsMatchReference) {
+  // A dilated conv is the one conv EpilogueFusionPass leaves primitive, so
+  // it and every op below run through the interpreter step inside Run:
+  // conv -> BiasAdd -> relu -> Add(residual) folds into one launch,
+  // Add(y, y) must copy, and the Mul may steal only its right operand
+  // because its left one is also a graph output.
+  GraphBuilder b(DType::kFloat16, Layout::kNHWC);
+  NodeId x = b.Input("x", {1, 9, 9, 8});
+  Conv2dAttrs a;
+  a.pad_h = a.pad_w = 2;
+  a.dilation_h = a.dilation_w = 2;
+  NodeId y = b.Conv2d(x, b.Constant("w", RandomWeight({8, 3, 3, 8}, 43)), a);
+  y = b.BiasAdd(y, b.Constant("b", RandomWeight({8}, 44)));
+  y = b.Activation(y, ActivationKind::kRelu);
+  y = b.Add(y, x);
+  NodeId z = b.Add(y, y);
+  NodeId out = b.Mul(z, b.Activation(x, ActivationKind::kSigmoid));
+  b.MarkOutput(z);
+  b.MarkOutput(out);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  auto engine = Engine::Compile(*g, CompileOptions{});
+  ASSERT_TRUE(engine.ok());
+  int primitive_convs = 0;
+  for (const Node& n : engine->optimized_graph().nodes()) {
+    primitive_convs += n.kind == OpKind::kConv2d;
+  }
+  ASSERT_EQ(primitive_convs, 1);
+
+  Tensor input(TensorDesc(DType::kFloat16, {1, 9, 9, 8}, Layout::kNHWC));
+  Rng rng(45);
+  rng.FillNormal(input.data(), 0.5f);
+  input.Quantize();
+  std::map<std::string, Tensor> inputs{{"x", input}};
+  auto got = engine->Run(inputs);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want = RefExecutor(*g).Run(inputs);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(got->size(), 2u);
+  // Bit-identical on the scalar tier, ULP-bounded on a forced SIMD tier.
+  const difftest::Tolerance tol = difftest::ToleranceFor(
+      cpukernels::ResolveCpuIsa(cpukernels::CpuIsa::kAuto), DType::kFloat16);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(difftest::CheckDiff("engine_host_ops", (*got)[i],
+                                    (*want)[i], tol))
+        << "output " << i;
+  }
 }
 
 TEST(EngineTest, PaddingTriggersOnUnalignedProductionConv) {

@@ -218,6 +218,28 @@ TEST(InterpreterTest, RejectsCompositeOps) {
   EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
 }
 
+TEST(InterpreterTest, RejectsMisShapedInput) {
+  // Fused epilogue pointers (here the residual) are planned from the
+  // declared descs, so a larger tensor would be over-read.
+  GraphBuilder b;
+  NodeId x = b.Input("x", {8, 64});
+  NodeId y = b.Dense(
+      x, b.Constant("w", RandomTensor(TensorDesc(DType::kFloat16, {64, 64}))));
+  y = b.Add(y, b.Constant("r", RandomTensor(
+                                   TensorDesc(DType::kFloat16, {8, 64}), 2)));
+  b.MarkOutput(y);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const std::map<std::string, Tensor> inputs{
+      {"x", RandomTensor(TensorDesc(DType::kFloat16, {16, 64}), 3)}};
+  for (const auto& out :
+       {Interpreter(*g).Run(inputs), RefExecutor(*g).Run(inputs)}) {
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Contains(out.status().message(), "input tensor x "));
+  }
+}
+
 TEST(PartitionTest, GroupsMaximalSupportedRegions) {
   GraphBuilder b;
   NodeId x = b.Input("x", {4, 8, 8, 16});
