@@ -564,22 +564,20 @@ Result<std::vector<Tensor>> Engine::Run(
       BOLT_RETURN_IF_ERROR(interp.RunNode(n, inputs, env));
       continue;
     }
-    auto out = RunComposite(n, env);
+    auto out = RunComposite(n, interp, env);
     if (!out.ok()) return out.status();
     env[n.id] = std::move(out).value();
   }
-  std::vector<Tensor> outs;
-  for (NodeId id : graph_.output_ids()) outs.push_back(env[id]);
-  return outs;
+  return interp.Outputs(env);
 }
 
-Result<Tensor> Engine::RunComposite(const Node& n,
+Result<Tensor> Engine::RunComposite(const Node& n, const Interpreter& interp,
                                     const std::vector<Tensor>& env) const {
   const NodePlan& plan = plans_.at(n.id);
   // Operands in node-input order: activation, then per stage the weight
   // and (when the epilogue has one) the bias; a residual comes last.
   size_t next = 0;
-  auto arg = [&] { return &env[n.inputs[next++]]; };
+  auto arg = [&] { return &interp.Operand(env, n.inputs[next++]); };
   switch (n.kind) {
     case OpKind::kBoltGemm: {
       const GemmKernel& kernel = std::get<GemmKernel>(plan);

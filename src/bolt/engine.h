@@ -30,6 +30,8 @@
 
 namespace bolt {
 
+class Interpreter;
+
 struct CompileOptions {
   DeviceSpec device = DeviceSpec::TeslaT4();
   bool enable_layout_transform = true;
@@ -160,8 +162,9 @@ class Engine {
   /// cpu_* fields of report_.
   Status TuneCpuKernels(Profiler& profiler);
 
-  /// Runs bolt.* node `n` on its planned kernel over `env`.
-  Result<Tensor> RunComposite(const Node& n,
+  /// Runs bolt.* node `n` on its planned kernel, reading its operands
+  /// from `env` through `interp` (constants by reference).
+  Result<Tensor> RunComposite(const Node& n, const Interpreter& interp,
                               const std::vector<Tensor>& env) const;
 
   Graph graph_;

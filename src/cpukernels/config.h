@@ -21,15 +21,16 @@
 // The parallelization scheme is a tunable axis (the CPU analogue of the
 // GPU swizzle/rasterization choice): loop-level parallelism fans row
 // panels out inside every (jc, pc) cache block (one barrier per block,
-// shared packed-B panel), batch-level parallelism gives each worker a
-// whole row range through the entire loop nest (one barrier total, packed
-// B duplicated per worker).  Both produce bit-identical results; which is
+// shared packed-B panel; a launch with fewer row panels than pool
+// participants fans out over N strips instead), batch-level parallelism
+// gives each worker a whole row range through the entire loop nest (one
+// barrier total, packed B duplicated per worker).  Both produce
+// bit-identical results; which is
 // faster depends on the workload shape, which is exactly why the profiler
 // measures it instead of guessing.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/status.h"
@@ -119,7 +120,7 @@ struct BlockConfig {
 
   /// Validating factory for the tuning path: returns InvalidArgument for
   /// any block the packing layouts cannot honor exactly (instead of the
-  /// silent clamping FromTileShape applies).
+  /// silent clamping GemmCore applies).
   static Result<BlockConfig> Make(
       int mc, int kc, int nc,
       ParallelScheme scheme = ParallelScheme::kLoopLevel,
@@ -132,20 +133,6 @@ struct BlockConfig {
     c.isa = isa;
     c.prefetch = prefetch;
     BOLT_RETURN_IF_ERROR(c.Validate());
-    return c;
-  }
-
-  /// Derives CPU block sizes from a cutlite-style tile shape, clamping to
-  /// micro-tile multiples.  Used to share one config vocabulary between
-  /// the simulated GPU kernels and the real CPU kernels.  Non-positive
-  /// tile dims are clamped to the minimum legal block (they can reach
-  /// here from hand-built KernelConfigs); the result always satisfies
-  /// Validate().
-  static BlockConfig FromTileShape(int tb_m, int tb_n, int tb_k) {
-    BlockConfig c;
-    c.mc = std::max(kMR, (std::max(tb_m, 0) / kMR) * kMR);
-    c.nc = std::max(kNR, (std::max(tb_n, 0) / kNR) * kNR);
-    c.kc = std::max(8, tb_k);
     return c;
   }
 

@@ -15,6 +15,11 @@
 //           acc += Ap x Bp over the kc slice
 //           last pc slice: fused epilogue on write-back
 //
+// Small-M launches (fewer mc row panels than pool participants and nr
+// strips) swap the parallel axis: one task per contiguous chunk of nr
+// strips runs the pc loop for its own columns, packing its own B strips
+// (GemmCoreRows).
+//
 // The micro-tile column count nr is an ISA property: 8 for the scalar and
 // AVX2 kernels, 16 for AVX-512.  The packed-B strip width and the jr loop
 // follow the resolved nr; the packed-A layout (kMR-interleaved) is shared
@@ -194,106 +199,167 @@ inline void PrefetchPanel(const float* p, int64_t count) {
   }
 }
 
+/// Packs strips [js0, js1) of the (jc, pc) B panel, strip js0 first, into
+/// `dst` (each strip kcb x nr).
+inline void PackBStrips(const float* w, int64_t n, int64_t k, int64_t jc,
+                        int64_t ncb, int64_t pc, int64_t kcb, int64_t js0,
+                        int64_t js1, const LaunchPlan& plan, float* dst) {
+  if (kcb <= 0) return;
+  const int64_t nr = plan.nr;
+  const int64_t j0 = jc + js0 * nr;
+  const int64_t cols = std::min(js1 * nr, ncb) - js0 * nr;
+  if (plan.simd_pack) {
+    PackBPanelSimd(w, k, n, j0, cols, pc, kcb, nr, plan.prefetch, dst);
+  } else {
+    PackB(w, k, n, j0, cols, pc, kcb, nr, dst);
+  }
+}
+
+/// Multiplies one packed A row panel (rows [i0, i0+mcb)) by the packed B
+/// strips [js0, js1) of panel jc (`bstrips`, as PackBStrips lays them out)
+/// over one kc slice, accumulating through `d` across slices (`first`
+/// zeroes the accumulators, `last` applies the epilogue on write-back).
+/// Prefetches stay inside [js0, js1).
+template <typename DIndexFn>
+void MultiplyPanel(const float* apanel, const float* bstrips, int64_t i0,
+                   int64_t mcb, int64_t jc, int64_t js0, int64_t js1,
+                   int64_t n, int64_t kcb, bool first, bool last, float* d,
+                   const Epilogue& epi, const LaunchPlan& plan,
+                   DIndexFn&& dindex) {
+  const int64_t nr = plan.nr;
+  const int64_t istrips = CeilDiv(mcb, kMR);
+  float acc[kMR * kMaxNR];
+  for (int64_t js = js0; js < js1; ++js) {
+    const float* bp = bstrips + (js - js0) * kcb * nr;
+    const int64_t j0 = jc + js * nr;
+    const int64_t jn = std::min<int64_t>(nr, n - j0);
+    for (int64_t is = 0; is < istrips; ++is) {
+      const float* ap = apanel + is * kcb * kMR;
+      const int64_t gi0 = i0 + is * kMR;
+      const int64_t rm = std::min<int64_t>(kMR, i0 + mcb - gi0);
+      if (plan.prefetch && kcb > 0) {
+        // Warm the next A strip while this one multiplies; at the
+        // row-panel edge, warm the next B strip instead.
+        if (is + 1 < istrips) {
+          PrefetchPanel(apanel + (is + 1) * kcb * kMR, kcb * kMR);
+        } else if (js + 1 < js1) {
+          PrefetchPanel(bp + kcb * nr, kcb * nr);
+        }
+      }
+      if (first) {
+        for (int64_t v = 0; v < kMR * nr; ++v) acc[v] = 0.0f;
+      } else {
+        for (int64_t r = 0; r < rm; ++r)
+          for (int64_t j = 0; j < jn; ++j)
+            acc[r * nr + j] = d[dindex(gi0 + r, j0 + j)];
+      }
+      if (kcb > 0) plan.micro(kcb, ap, bp, acc);
+      if (last) {
+        if (plan.simd_epi) {
+          for (int64_t r = 0; r < rm; ++r) {
+            const int64_t di0 = dindex(gi0 + r, j0);
+            EpilogueRowSimd(
+                acc + r * nr, d + di0,
+                epi.residual != nullptr ? epi.residual + di0 : nullptr,
+                epi.bias != nullptr ? epi.bias + j0 : nullptr, jn, epi.alpha,
+                epi.beta, plan.acts, plan.nacts, epi.boundary_quantize,
+                epi.quantizes());
+          }
+        } else {
+          for (int64_t r = 0; r < rm; ++r) {
+            for (int64_t j = 0; j < jn; ++j) {
+              const int64_t di = dindex(gi0 + r, j0 + j);
+              const float src =
+                  epi.residual != nullptr ? epi.residual[di] : 0.0f;
+              const float b = epi.bias != nullptr ? epi.bias[j0 + j] : 0.0f;
+              d[di] = ApplyEpilogue(epi, acc[r * nr + j], src, b);
+            }
+          }
+        }
+      } else {
+        for (int64_t r = 0; r < rm; ++r)
+          for (int64_t j = 0; j < jn; ++j)
+            d[dindex(gi0 + r, j0 + j)] = acc[r * nr + j];
+      }
+    }
+  }
+}
+
 /// Runs the full jc/pc cache-loop nest over output rows [m_lo, m_hi).
-/// When `pool` is non-null, row panels inside each (jc, pc) block are
-/// computed in parallel (loop-level parallelism); with a null pool the
-/// nest is fully serial.  See GemmCore below for the pack_a / dindex
-/// contracts.
+/// With a null pool the nest is fully serial.  With a pool, each jc panel
+/// parallelizes one of two ways:
+///
+///  * over M: row panels inside each (jc, pc) block fan out (loop-level
+///    parallelism) over a B panel packed once per block;
+///  * over N, when the launch has fewer row panels than both the pool
+///    participants and the panel's nr strips, so splitting N keeps more
+///    participants busy (the small-M case: batch-1 dense layers,
+///    late-stage convs): one task per contiguous chunk of nr
+///    strips runs the whole pc loop for its columns, packing its own
+///    strips into its disjoint range of the shared B panel (sized for a
+///    full kc slice, so chunks on different slices never overlap) and its
+///    own copy of each A panel.
+///
+/// Either way every output element accumulates its K terms in ascending
+/// order through the same slices, so the split never changes a result.
+/// See GemmCore below for the pack_a / dindex contracts.
 template <typename PackAFn, typename DIndexFn>
 void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n, int64_t k,
                   const float* w, float* d, const Epilogue& epi, int64_t mc,
                   int64_t kc, int64_t nc, const LaunchPlan& plan,
                   ThreadPool* pool, PackAFn&& pack_a, DIndexFn&& dindex) {
   const int64_t nr = plan.nr;
+  // K == 0 degenerates to an epilogue-only pass over zero accumulators.
+  const int64_t kblocks = std::max<int64_t>(1, CeilDiv(k, kc));
+  const int64_t iblocks = CeilDiv(m_hi - m_lo, mc);
+  const int64_t participants =
+      pool != nullptr ? pool->num_threads() + 1 : 1;
+  const int64_t kc_max = std::max<int64_t>(1, std::min(kc, k));
   std::vector<float> bpanel;
   for (int64_t jc = 0; jc < n; jc += nc) {
     const int64_t ncb = std::min(nc, n - jc);
     const int64_t jstrips = CeilDiv(ncb, nr);
-    // K == 0 degenerates to an epilogue-only pass over zero accumulators.
-    const int64_t kblocks = std::max<int64_t>(1, CeilDiv(k, kc));
-    for (int64_t pb = 0; pb < kblocks; ++pb) {
+    bpanel.resize(static_cast<size_t>(jstrips * nr * kc_max));
+
+    // Row panel ib against strips [js0, js1), packed at `bstrips`, over
+    // kc slice pb.
+    auto block = [&](std::vector<float>& apanel, const float* bstrips,
+                     int64_t ib, int64_t js0, int64_t js1, int64_t pb) {
       const int64_t pc = pb * kc;
       const int64_t kcb = std::min(kc, k - pc);
-      const bool first = pb == 0;
-      const bool last = pb == kblocks - 1;
-      bpanel.resize(static_cast<size_t>(jstrips * nr * std::max<int64_t>(
-                        kcb, 1)));
-      if (kcb > 0) {
-        if (plan.simd_pack) {
-          PackBPanelSimd(w, k, n, jc, ncb, pc, kcb, nr, plan.prefetch,
-                         bpanel.data());
-        } else {
-          PackB(w, k, n, jc, ncb, pc, kcb, nr, bpanel.data());
-        }
-      }
+      const int64_t i0 = m_lo + ib * mc;
+      const int64_t mcb = std::min(mc, m_hi - i0);
+      apanel.resize(static_cast<size_t>(CeilDiv(mcb, kMR) * kMR *
+                                        std::max<int64_t>(kcb, 1)));
+      if (kcb > 0) pack_a(apanel.data(), i0, mcb, pc, kcb, plan.simd_pack);
+      MultiplyPanel(apanel.data(), bstrips, i0, mcb, jc, js0, js1, n, kcb,
+                    pb == 0, pb == kblocks - 1, d, epi, plan, dindex);
+    };
 
-      const int64_t iblocks = CeilDiv(m_hi - m_lo, mc);
-      auto row_panel = [&](int64_t ib) {
-        const int64_t i0 = m_lo + ib * mc;
-        const int64_t mcb = std::min(mc, m_hi - i0);
-        const int64_t istrips = CeilDiv(mcb, kMR);
-        std::vector<float> apanel(
-            static_cast<size_t>(istrips * kMR * std::max<int64_t>(kcb, 1)));
-        if (kcb > 0) pack_a(apanel.data(), i0, mcb, pc, kcb, plan.simd_pack);
-
-        float acc[kMR * kMaxNR];
-        for (int64_t js = 0; js < jstrips; ++js) {
-          const float* bp = bpanel.data() + js * kcb * nr;
-          const int64_t j0 = jc + js * nr;
-          const int64_t jn = std::min<int64_t>(nr, n - j0);
-          for (int64_t is = 0; is < istrips; ++is) {
-            const float* ap = apanel.data() + is * kcb * kMR;
-            const int64_t gi0 = i0 + is * kMR;
-            const int64_t rm = std::min<int64_t>(kMR, i0 + mcb - gi0);
-            if (plan.prefetch && kcb > 0) {
-              // Warm the next A strip while this one multiplies; at the
-              // row-panel edge, warm the next B strip instead.
-              if (is + 1 < istrips) {
-                PrefetchPanel(apanel.data() + (is + 1) * kcb * kMR,
-                              kcb * kMR);
-              } else if (js + 1 < jstrips) {
-                PrefetchPanel(bpanel.data() + (js + 1) * kcb * nr,
-                              kcb * nr);
-              }
-            }
-            if (first) {
-              for (int64_t v = 0; v < kMR * nr; ++v) acc[v] = 0.0f;
-            } else {
-              for (int64_t r = 0; r < rm; ++r)
-                for (int64_t j = 0; j < jn; ++j)
-                  acc[r * nr + j] = d[dindex(gi0 + r, j0 + j)];
-            }
-            if (kcb > 0) plan.micro(kcb, ap, bp, acc);
-            if (last) {
-              if (plan.simd_epi) {
-                for (int64_t r = 0; r < rm; ++r) {
-                  const int64_t di0 = dindex(gi0 + r, j0);
-                  EpilogueRowSimd(
-                      acc + r * nr, d + di0,
-                      epi.residual != nullptr ? epi.residual + di0 : nullptr,
-                      epi.bias != nullptr ? epi.bias + j0 : nullptr, jn,
-                      epi.alpha, epi.beta, plan.acts, plan.nacts,
-                      epi.boundary_quantize, epi.quantizes());
-                }
-              } else {
-                for (int64_t r = 0; r < rm; ++r) {
-                  for (int64_t j = 0; j < jn; ++j) {
-                    const int64_t di = dindex(gi0 + r, j0 + j);
-                    const float src =
-                        epi.residual != nullptr ? epi.residual[di] : 0.0f;
-                    const float b =
-                        epi.bias != nullptr ? epi.bias[j0 + j] : 0.0f;
-                    d[di] = ApplyEpilogue(epi, acc[r * nr + j], src, b);
-                  }
-                }
-              }
-            } else {
-              for (int64_t r = 0; r < rm; ++r)
-                for (int64_t j = 0; j < jn; ++j)
-                  d[dindex(gi0 + r, j0 + j)] = acc[r * nr + j];
-            }
+    const int64_t n_ways = std::min(jstrips, participants);
+    if (pool != nullptr && iblocks < n_ways) {
+      const int64_t per_chunk = CeilDiv(jstrips, n_ways);
+      pool->ParallelFor(CeilDiv(jstrips, per_chunk), [&](int64_t c) {
+        const int64_t js0 = c * per_chunk;
+        const int64_t js1 = std::min(jstrips, js0 + per_chunk);
+        float* bstrips = bpanel.data() + js0 * kc_max * nr;
+        std::vector<float> apanel;
+        for (int64_t pb = 0; pb < kblocks; ++pb) {
+          PackBStrips(w, n, k, jc, ncb, pb * kc, std::min(kc, k - pb * kc),
+                      js0, js1, plan, bstrips);
+          for (int64_t ib = 0; ib < iblocks; ++ib) {
+            block(apanel, bstrips, ib, js0, js1, pb);
           }
         }
+      });
+      continue;
+    }
+    for (int64_t pb = 0; pb < kblocks; ++pb) {
+      PackBStrips(w, n, k, jc, ncb, pb * kc, std::min(kc, k - pb * kc), 0,
+                  jstrips, plan, bpanel.data());
+      auto row_panel = [&](int64_t ib) {
+        std::vector<float> apanel;
+        block(apanel, bpanel.data(), ib, 0, jstrips, pb);
       };
       if (pool != nullptr && iblocks > 1) {
         pool->ParallelFor(iblocks, row_panel);

@@ -6,9 +6,9 @@
 // The profiler measures BlockConfig candidates per GEMM problem shape and
 // publishes the winner here; the interpreter, the engine's host ops, and
 // cutlite's functional delegation look the shape up at execution time and
-// fall back to the FromTileShape heuristic on a miss.  The registry lives
-// in cpukernels (the lowest layer) so cutlite can consult it without
-// depending on the profiler.
+// fall back to the host default block (BlockConfig{}) on a miss.  The
+// registry lives in cpukernels (the lowest layer) so cutlite can consult
+// it without depending on the profiler.
 //
 // Oracle independence: lookups return nothing while the reference backend
 // is forced (BOLT_CPU_BACKEND=ref), so the differential-testing oracle can

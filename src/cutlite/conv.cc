@@ -45,11 +45,12 @@ Result<Tensor> Conv2dKernel::Run(const Tensor& x, const Tensor& weight,
   if (epilogue_.has_bias) BOLT_CHECK(bias != nullptr);
 
   const int64_t oh = p.out_h(), ow = p.out_w();
-  if (config_.split_k == 1 && !epilogue_.column_reduction &&
+  if (!epilogue_.column_reduction &&
       cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu) {
-    // Delegate to the blocked implicit-GEMM CPU kernel (same ascending
-    // (r, s, c) accumulation order and epilogue arithmetic — results are
-    // bit-identical to the direct loop below up to the sign of zero).
+    // Delegate every config, split-K or not, to the blocked implicit-GEMM
+    // CPU kernel (same ascending (r, s, c) accumulation order and epilogue
+    // arithmetic — results are bit-identical to the direct loop below up
+    // to the sign of zero; the direct loop ignores split_k as well).
     cpukernels::ConvParams cp;
     cp.stride_h = p.stride_h;
     cp.stride_w = p.stride_w;
@@ -65,16 +66,14 @@ Result<Tensor> Conv2dKernel::Run(const Tensor& x, const Tensor& weight,
     }
     epi.acts = epilogue_.activations;
     epi.output_dtype = epilogue_.output_dtype;
-    // A profiler-tuned block for this implicit-GEMM shape wins over the
-    // threadblock-derived heuristic (cpukernels/tuned.h).
+    // A profiler-tuned block for this implicit-GEMM shape, else the host
+    // default block (cpukernels/tuned.h).
     const cpukernels::ConvGemmShape shape =
         cpukernels::ResolveConvGemmShape(x, weight, cp);
-    cpukernels::BlockConfig block =
+    const cpukernels::BlockConfig block =
         cpukernels::FindTunedBlock(cpukernels::TunedKind::kConv, shape.m,
                                    shape.n, shape.k, x.layout())
-            .value_or(cpukernels::BlockConfig::FromTileShape(
-                config_.threadblock.m, config_.threadblock.n,
-                config_.threadblock.k));
+            .value_or(cpukernels::BlockConfig{});
     return cpukernels::Conv2d(x, weight, cp, epi, block,
                               &cpukernels::ProcessPool());
   }

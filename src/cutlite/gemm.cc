@@ -75,14 +75,12 @@ Result<Tensor> GemmKernel::Run(const GemmArguments& args) const {
     }
     epi.acts = epilogue_.activations;
     epi.output_dtype = epilogue_.output_dtype;
-    // Blocking: a profiler-tuned block for this problem shape wins over
-    // the threadblock-derived heuristic (cpukernels/tuned.h; the registry
-    // is empty unless CPU autotuning ran).
-    cpukernels::BlockConfig block =
+    // Blocking: a profiler-tuned block for this problem shape, else the
+    // host default block (cpukernels/tuned.h; the registry is empty
+    // unless CPU autotuning ran).
+    const cpukernels::BlockConfig block =
         cpukernels::FindTunedBlock(cpukernels::TunedKind::kGemm, m, n, k)
-            .value_or(cpukernels::BlockConfig::FromTileShape(
-                config_.threadblock.m, config_.threadblock.n,
-                config_.threadblock.k));
+            .value_or(cpukernels::BlockConfig{});
     cpukernels::GemmRaw(m, n, k, args.a->data().data(),
                         args.w->data().data(), out.data().data(), epi,
                         block, &cpukernels::ProcessPool());

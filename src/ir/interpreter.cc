@@ -354,8 +354,12 @@ Interpreter::Interpreter(const Graph& graph, InterpreterOptions options)
   uses_.assign(graph_.num_nodes(), 0);
   is_output_.assign(graph_.num_nodes(), 0);
   fused_member_.assign(graph_.num_nodes(), 0);
+  consts_.assign(graph_.num_nodes(), nullptr);
   for (const Node& n : graph_.nodes()) {
     for (NodeId in : n.inputs) ++uses_[in];
+    if (n.kind == OpKind::kConstant && graph_.is_constant(n.id)) {
+      consts_[n.id] = &graph_.constant(n.id);
+    }
   }
   for (NodeId id : graph_.output_ids()) is_output_[id] = 1;
   if (fast_) BuildPlan();
@@ -452,13 +456,15 @@ ThreadPool* Interpreter::ResolvePool() const {
 Tensor Interpreter::RunChain(const FusedChain& ch,
                              const std::vector<Tensor>& env) const {
   const Node& a = graph_.node(ch.anchor);
-  const Tensor& x = env[a.inputs[0]];
-  const Tensor& w = env[a.inputs[1]];
+  const Tensor& x = Operand(env, a.inputs[0]);
+  const Tensor& w = Operand(env, a.inputs[1]);
   cpukernels::Epilogue epi;
   epi.output_dtype = graph_.node(ch.result).out_desc.dtype;
   epi.boundary_quantize = true;
-  if (ch.bias >= 0) epi.bias = env[ch.bias].data().data();
-  if (ch.residual >= 0) epi.residual = env[ch.residual].data().data();
+  if (ch.bias >= 0) epi.bias = Operand(env, ch.bias).data().data();
+  if (ch.residual >= 0) {
+    epi.residual = Operand(env, ch.residual).data().data();
+  }
   epi.acts = ch.acts;
   ThreadPool* pool = ResolvePool();
   if (a.kind == OpKind::kConv2d) {
@@ -485,11 +491,21 @@ Tensor Interpreter::RunChain(const FusedChain& ch,
                           pool);
 }
 
+bool Interpreter::Stealable(NodeId src) const {
+  return consts_[src] == nullptr && uses_[src] == 1 && !is_output_[src];
+}
+
 Tensor Interpreter::TakeOrCopy(std::vector<Tensor>& env, NodeId src) const {
-  if (uses_[src] == 1 && !is_output_[src]) {
-    return std::move(env[src]);
-  }
-  return env[src];
+  if (Stealable(src)) return std::move(env[src]);
+  return Operand(env, src);
+}
+
+std::vector<Tensor> Interpreter::Outputs(
+    const std::vector<Tensor>& env) const {
+  std::vector<Tensor> outs;
+  outs.reserve(graph_.output_ids().size());
+  for (NodeId id : graph_.output_ids()) outs.push_back(Operand(env, id));
+  return outs;
 }
 
 Result<std::vector<Tensor>> Interpreter::Run(
@@ -498,10 +514,7 @@ Result<std::vector<Tensor>> Interpreter::Run(
   for (const Node& n : graph_.nodes()) {
     BOLT_RETURN_IF_ERROR(RunNode(n, inputs, env));
   }
-  std::vector<Tensor> outs;
-  outs.reserve(graph_.output_ids().size());
-  for (NodeId id : graph_.output_ids()) outs.push_back(env[id]);
-  return outs;
+  return Outputs(env);
 }
 
 Status Interpreter::RunNode(const Node& n,
@@ -515,6 +528,9 @@ Status Interpreter::RunNode(const Node& n,
       return Status::Ok();
     }
   }
+  auto in = [&](size_t i) -> const Tensor& {
+    return Operand(env, n.inputs[i]);
+  };
   switch (n.kind) {
     case OpKind::kInput: {
       auto it = inputs.find(n.name);
@@ -534,27 +550,26 @@ Status Interpreter::RunNode(const Node& n,
       break;
     }
     case OpKind::kConstant:
-      if (!graph_.is_constant(n.id)) {
+      // Read in place through Operand; the env slot stays empty.
+      if (consts_[n.id] == nullptr) {
         return Status::FailedPrecondition(
             "constant " + n.name +
             " has no materialized data (timing-only graph)");
       }
-      env[n.id] = graph_.constant(n.id);
       break;
     case OpKind::kConv2d:
-      env[n.id] = refop::Conv2d(env[n.inputs[0]], env[n.inputs[1]],
-                                Conv2dAttrs::FromNode(n));
+      env[n.id] = refop::Conv2d(in(0), in(1), Conv2dAttrs::FromNode(n));
       break;
     case OpKind::kDense:
-      env[n.id] = refop::Dense(env[n.inputs[0]], env[n.inputs[1]]);
+      env[n.id] = refop::Dense(in(0), in(1));
       break;
     case OpKind::kBiasAdd: {
       if (fast_) {
         Tensor t = TakeOrCopy(env, n.inputs[0]);
-        refop::BiasAddInPlace(t, env[n.inputs[1]]);
+        refop::BiasAddInPlace(t, in(1));
         env[n.id] = std::move(t);
       } else {
-        env[n.id] = refop::BiasAdd(env[n.inputs[0]], env[n.inputs[1]]);
+        env[n.id] = refop::BiasAdd(in(0), in(1));
       }
       break;
     }
@@ -566,7 +581,7 @@ Status Interpreter::RunNode(const Node& n,
         refop::ActivationInPlace(t, kind.value());
         env[n.id] = std::move(t);
       } else {
-        env[n.id] = refop::Activation(env[n.inputs[0]], kind.value());
+        env[n.id] = refop::Activation(in(0), kind.value());
       }
       break;
     }
@@ -574,60 +589,53 @@ Status Interpreter::RunNode(const Node& n,
     case OpKind::kMul: {
       const NodeId lhs = n.inputs[0], rhs = n.inputs[1];
       const bool mul = n.kind == OpKind::kMul;
-      if (fast_ && uses_[lhs] == 1 && !is_output_[lhs] && lhs != rhs) {
+      if (fast_ && Stealable(lhs) && lhs != rhs) {
         Tensor t = std::move(env[lhs]);
-        mul ? refop::MulInPlace(t, env[rhs])
-            : refop::AddInPlace(t, env[rhs]);
+        mul ? refop::MulInPlace(t, in(1)) : refop::AddInPlace(t, in(1));
         env[n.id] = std::move(t);
-      } else if (fast_ && uses_[rhs] == 1 && !is_output_[rhs] &&
-                 lhs != rhs &&
+      } else if (fast_ && Stealable(rhs) && lhs != rhs &&
                  graph_.node(lhs).out_desc == graph_.node(rhs).out_desc) {
         // Commutative: accumulate into the right operand's buffer.
         Tensor t = std::move(env[rhs]);
-        mul ? refop::MulInPlace(t, env[lhs])
-            : refop::AddInPlace(t, env[lhs]);
+        mul ? refop::MulInPlace(t, in(0)) : refop::AddInPlace(t, in(0));
         env[n.id] = std::move(t);
       } else {
-        env[n.id] = mul ? refop::Mul(env[lhs], env[rhs])
-                        : refop::Add(env[lhs], env[rhs]);
+        env[n.id] = mul ? refop::Mul(in(0), in(1)) : refop::Add(in(0), in(1));
       }
       break;
     }
     case OpKind::kCast:
-      env[n.id] = env[n.inputs[0]].Cast(n.out_desc.dtype);
+      env[n.id] = in(0).Cast(n.out_desc.dtype);
       break;
     case OpKind::kMaxPool2d:
-      env[n.id] = refop::MaxPool2d(env[n.inputs[0]],
-                                   n.attrs.GetInt("kernel"),
+      env[n.id] = refop::MaxPool2d(in(0), n.attrs.GetInt("kernel"),
                                    n.attrs.GetInt("stride"));
       break;
     case OpKind::kGlobalAvgPool:
-      env[n.id] = refop::GlobalAvgPool(env[n.inputs[0]]);
+      env[n.id] = refop::GlobalAvgPool(in(0));
       break;
     case OpKind::kFlatten:
-      env[n.id] = refop::Flatten(env[n.inputs[0]]);
+      env[n.id] = refop::Flatten(in(0));
       break;
     case OpKind::kSoftmax:
-      env[n.id] = refop::Softmax(env[n.inputs[0]]);
+      env[n.id] = refop::Softmax(in(0));
       break;
     case OpKind::kLayoutTransform: {
       Layout to = n.out_desc.layout;
-      env[n.id] = refop::LayoutTransform(env[n.inputs[0]], to);
+      env[n.id] = refop::LayoutTransform(in(0), to);
       break;
     }
     case OpKind::kPadChannels:
-      env[n.id] = refop::PadChannels(env[n.inputs[0]],
-                                     n.out_desc.shape.back());
+      env[n.id] = refop::PadChannels(in(0), n.out_desc.shape.back());
       break;
     case OpKind::kBatchNorm:
       env[n.id] = refop::BatchNorm(
-          env[n.inputs[0]], env[n.inputs[1]], env[n.inputs[2]],
-          env[n.inputs[3]], env[n.inputs[4]],
+          in(0), in(1), in(2), in(3), in(4),
           static_cast<float>(n.attrs.GetFloat("eps", 1e-5)));
       break;
     case OpKind::kConcat: {
       std::vector<const Tensor*> parts;
-      for (NodeId in : n.inputs) parts.push_back(&env[in]);
+      for (size_t i = 0; i < n.inputs.size(); ++i) parts.push_back(&in(i));
       env[n.id] = refop::Concat(parts);
       break;
     }

@@ -7,7 +7,8 @@
 //    fused CPU kernels in src/cpukernels (docs/CPU_BACKEND.md).  Chains of
 //    anchor -> BiasAdd -> Activation* -> Add(residual) are folded into the
 //    kernel's output write-back, and elementwise ops reuse their input
-//    buffer when it has no other readers.  Because the fast kernels
+//    buffer when it has no other readers and is not a constant.  Because
+//    the fast kernels
 //    accumulate in the same ascending-k order as the naive loops and
 //    quantize at the same op boundaries, results are bit-identical to the
 //    reference backend for every blocking and thread count.
@@ -20,6 +21,12 @@
 // Interpreter::RunNode, so host ops get the same chain fusion, buffer
 // stealing and tuned-block lookup in both executors; the engine's fused
 // bolt.* kernels are validated against this interpreter.
+//
+// Constants are read-only and bound by reference: a constant node's env
+// slot stays empty, every operand is read through Interpreter::Operand
+// (which resolves constants to the graph's own tensor), no kernel ever
+// steals or writes a constant's buffer, and a graph output that is a
+// constant is copied out.  A Run therefore never copies the weights.
 
 #pragma once
 
@@ -101,13 +108,23 @@ class Interpreter {
   Result<std::vector<Tensor>> Run(
       const std::map<std::string, Tensor>& inputs) const;
 
-  /// Executes one node of the graph into `env` (indexed by NodeId; every
-  /// earlier node already executed).  A fused-chain member does nothing:
-  /// the whole chain runs at its result node.  May move a single-reader
-  /// input out of `env`.  An input whose shape differs from its node's
-  /// declared shape is rejected with InvalidArgument.
+  /// Executes one node of the graph into `env` (indexed by NodeId, sized
+  /// num_nodes(); every earlier node already executed).  A fused-chain
+  /// member does nothing: the whole chain runs at its result node.  A
+  /// constant does nothing either (see Operand).  May move a single-reader
+  /// non-constant input out of `env`.  An input whose shape differs from
+  /// its node's declared shape is rejected with InvalidArgument.
   Status RunNode(const Node& n, const std::map<std::string, Tensor>& inputs,
                  std::vector<Tensor>& env) const;
+
+  /// The value of node `id` during a walk over `env`: the graph's own
+  /// tensor for a materialized constant, env[id] otherwise.
+  const Tensor& Operand(const std::vector<Tensor>& env, NodeId id) const {
+    return consts_[id] != nullptr ? *consts_[id] : env[id];
+  }
+
+  /// Copies the graph outputs out of a finished walk over `env`.
+  std::vector<Tensor> Outputs(const std::vector<Tensor>& env) const;
 
   const InterpreterOptions& options() const { return options_; }
 
@@ -127,8 +144,11 @@ class Interpreter {
   ThreadPool* ResolvePool() const;
   Tensor RunChain(const FusedChain& chain,
                   const std::vector<Tensor>& env) const;
-  /// Moves env[src] out if this node is its only reader and it is not a
-  /// graph output; copies otherwise.
+  /// True when env[src] may be moved out and overwritten by its reader:
+  /// it has exactly one reader, is not a graph output, and is not a
+  /// constant (constants are never written).
+  bool Stealable(NodeId src) const;
+  /// Moves env[src] out if Stealable; copies its Operand otherwise.
   Tensor TakeOrCopy(std::vector<Tensor>& env, NodeId src) const;
 
   const Graph& graph_;
@@ -138,6 +158,7 @@ class Interpreter {
   std::vector<char> fused_member_;        // chain nodes other than result
   std::vector<int> uses_;                 // consumer-edge counts
   std::vector<char> is_output_;
+  std::vector<const Tensor*> consts_;     // materialized constants by node
 };
 
 /// The naive reference oracle: per-op loops, no fusion, no threads, full

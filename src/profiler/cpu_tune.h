@@ -66,9 +66,9 @@ struct CpuConvWorkload {
 ///   nc  — the packed B panel (kc * nc floats) stays in half the L3;
 ///         full-N (no jc loop) is always tried when it fits
 ///
-/// The fixed FromTileShape-era heuristic (default BlockConfig) is always
-/// candidate #0, so measured selection can never regress the heuristic by
-/// more than measurement noise.  With `num_threads > 1` every blocking is
+/// The host default block (BlockConfig{}, also every executor's fallback
+/// on a registry miss) is always candidate #0, so measured selection can
+/// never regress the default by more than measurement noise.  With `num_threads > 1` every blocking is
 /// emitted in both parallelization schemes.
 ///
 /// The micro-kernel ISA is one more profiled axis: when `isa` resolves to

@@ -1,6 +1,6 @@
 // Property-based differential tests for the CPU autotuning stack:
 //
-//  * BlockConfig validation (Make / Validate / the FromTileShape clamp fix)
+//  * BlockConfig validation (Make / Validate)
 //  * candidate enumeration: every profiler-emitted candidate is valid
 //  * ~200 randomized (shape, layout, epilogue, BlockConfig, thread-count)
 //    tuples — including degenerate blocks (mc < kMR, nc not a multiple of
@@ -48,7 +48,7 @@ using cpukernels::kNR;
 using difftest::RandomTensor;
 
 // ---------------------------------------------------------------------------
-// BlockConfig validation: Make rejects, FromTileShape clamps.
+// BlockConfig validation: Make rejects invalid blocks.
 // ---------------------------------------------------------------------------
 
 TEST(BlockConfigTest, MakeRejectsInvalidConfigs) {
@@ -68,30 +68,6 @@ TEST(BlockConfigTest, MakeRejectsInvalidConfigs) {
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(ok.value().Validate().ok());
   EXPECT_EQ(ok.value().scheme, ParallelScheme::kBatchLevel);
-}
-
-TEST(BlockConfigTest, FromTileShapeClampsNonPositiveDims) {
-  // Regression: FromTileShape used to silently accept non-positive tile
-  // dims and hand the kernels a zero/negative blocking.  Every result must
-  // now pass Validate(), whatever the inputs.
-  const int dims[] = {-65, -1, 0, 1, 2, 3, 4, 7, 8, 17, 63, 64, 129, 4096};
-  for (int tm : dims) {
-    for (int tn : dims) {
-      for (int tk : {-3, 0, 1, 8, 17, 512}) {
-        const BlockConfig c = BlockConfig::FromTileShape(tm, tn, tk);
-        EXPECT_TRUE(c.Validate().ok())
-            << "FromTileShape(" << tm << "," << tn << "," << tk << ") -> mc="
-            << c.mc << " kc=" << c.kc << " nc=" << c.nc;
-      }
-    }
-  }
-  // Spot-check the rounding: down to the micro-tile, never below it.
-  EXPECT_EQ(BlockConfig::FromTileShape(0, 0, 0).mc, kMR);
-  EXPECT_EQ(BlockConfig::FromTileShape(0, 0, 0).nc, kNR);
-  EXPECT_EQ(BlockConfig::FromTileShape(0, 0, 0).kc, 8);
-  EXPECT_EQ(BlockConfig::FromTileShape(129, 130, 17).mc, 128);
-  EXPECT_EQ(BlockConfig::FromTileShape(129, 130, 17).nc, 128);
-  EXPECT_EQ(BlockConfig::FromTileShape(129, 130, 17).kc, 17);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
 
 #include "common/rng.h"
 #include "common/strings.h"
@@ -307,6 +309,136 @@ TEST(CpuConvTest, BitwiseDeterministicAcrossThreadCounts) {
                           serial.data().size() * sizeof(float)),
               0)
         << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Small-M launches: fewer row panels than pool participants split over N
+// ---------------------------------------------------------------------------
+
+// One pool per size 1-5, shared by the cases below (2-6 participants).
+const std::vector<std::unique_ptr<ThreadPool>>& Pools() {
+  static const std::vector<std::unique_ptr<ThreadPool>> pools = [] {
+    std::vector<std::unique_ptr<ThreadPool>> p;
+    for (int threads = 1; threads <= 5; ++threads) {
+      p.push_back(std::make_unique<ThreadPool>(threads));
+    }
+    return p;
+  }();
+  return pools;
+}
+
+// Runs `launch` serially and on every pool: each result must be
+// bit-identical to the serial one, which must match the reference oracle
+// (up to the sign of zero, see the file comment).
+void ExpectSameOnEveryPool(const std::function<Tensor(ThreadPool*)>& launch,
+                           const Tensor& want, const std::string& what) {
+  const Tensor serial = launch(nullptr);
+  ASSERT_EQ(serial.desc(), want.desc()) << what;
+  EXPECT_EQ(serial.MaxAbsDiff(want), 0.0f) << what;
+  for (const auto& pool : Pools()) {
+    const Tensor got = launch(pool.get());
+    ASSERT_EQ(got.data().size(), serial.data().size()) << what;
+    EXPECT_EQ(std::memcmp(got.data().data(), serial.data().data(),
+                          serial.data().size() * sizeof(float)),
+              0)
+        << what << " on " << pool->num_threads() << " threads";
+  }
+}
+
+// Scalar-pinned small blocks: several jc panels and pc slices, and row
+// panel counts on both sides of the participant count.
+std::vector<cpukernels::BlockConfig> SmallBlocks() {
+  using cpukernels::BlockConfig;
+  const auto scalar = [](int mc, int kc, int nc) {
+    return BlockConfig::Make(mc, kc, nc, cpukernels::ParallelScheme::kLoopLevel,
+                             cpukernels::CpuIsa::kScalar)
+        .value();
+  };
+  return {scalar(16, 64, 64), scalar(4, 8, 24)};
+}
+
+TEST(CpuSmallMSplitTest, GemmBitIdenticalOnEveryPoolAndToReference) {
+  for (const cpukernels::BlockConfig& block : SmallBlocks()) {
+    for (int64_t m : {1, 3, 4, 16, 49}) {
+      for (int64_t n : {8, 72, 520}) {
+        for (int64_t k : {8, 300}) {
+          const std::string what =
+              StrCat("m=", m, " n=", n, " k=", k, " mc=", block.mc,
+                     " kc=", block.kc, " nc=", block.nc);
+          Tensor a = RandomTensor(TensorDesc(DType::kFloat16, {m, k}),
+                                  m * 1000 + k);
+          Tensor w = RandomTensor(TensorDesc(DType::kFloat16, {n, k}),
+                                  n * 1000 + k);
+          Tensor bias = RandomTensor(TensorDesc(DType::kFloat16, {n}), n);
+          GraphBuilder b(DType::kFloat16, Layout::kRowMajor);
+          NodeId y = b.Dense(b.Input("a", {m, k}), b.Constant("w", w));
+          y = b.BiasAdd(y, b.Constant("bias", bias));
+          b.MarkOutput(b.Activation(y, ActivationKind::kRelu));
+          auto g = b.Build();
+          ASSERT_TRUE(g.ok());
+          auto want = RefExecutor(*g).Run({{"a", a}});
+          ASSERT_TRUE(want.ok());
+
+          cpukernels::Epilogue epi;
+          epi.output_dtype = DType::kFloat16;
+          epi.boundary_quantize = true;
+          epi.bias = bias.data().data();
+          epi.acts = {ActivationKind::kRelu};
+          ExpectSameOnEveryPool(
+              [&](ThreadPool* pool) {
+                return cpukernels::Gemm(a, w, epi, block, pool);
+              },
+              (*want)[0], what);
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuSmallMSplitTest, ConvBitIdenticalOnEveryPoolAndToReference) {
+  struct Case {
+    int64_t h, stride;  // 3x3 pad-1 filter: 4x4, 2x2 and 1x1 outputs
+  };
+  const int64_t c = 12, oc = 40;
+  for (const cpukernels::BlockConfig& block : SmallBlocks()) {
+    for (const Case& cs : {Case{4, 1}, Case{4, 2}, Case{2, 2}}) {
+      for (Layout layout : {Layout::kNHWC, Layout::kNCHW}) {
+        const std::string what =
+            StrCat("h=", cs.h, " stride=", cs.stride, " ",
+                   LayoutName(layout), " mc=", block.mc, " kc=", block.kc,
+                   " nc=", block.nc);
+        const std::vector<int64_t> xs =
+            layout == Layout::kNHWC ? std::vector<int64_t>{1, cs.h, cs.h, c}
+                                    : std::vector<int64_t>{1, c, cs.h, cs.h};
+        Tensor x = RandomTensor(TensorDesc(DType::kFloat16, xs, layout),
+                                cs.h * 10 + cs.stride);
+        Tensor w = RandomTensor(TensorDesc(DType::kFloat16, {oc, 3, 3, c}), 7);
+        Tensor bias = RandomTensor(TensorDesc(DType::kFloat16, {oc}), 8);
+        const Conv2dAttrs attrs = Attrs(cs.stride, 1);
+        GraphBuilder b(DType::kFloat16, layout);
+        NodeId y =
+            b.Conv2d(b.Input("x", xs, layout), b.Constant("w", w), attrs);
+        y = b.BiasAdd(y, b.Constant("bias", bias));
+        b.MarkOutput(b.Activation(y, ActivationKind::kRelu));
+        auto g = b.Build();
+        ASSERT_TRUE(g.ok());
+        auto want = RefExecutor(*g).Run({{"x", x}});
+        ASSERT_TRUE(want.ok());
+
+        cpukernels::Epilogue epi;
+        epi.output_dtype = DType::kFloat16;
+        epi.boundary_quantize = true;
+        epi.bias = bias.data().data();
+        epi.acts = {ActivationKind::kRelu};
+        ExpectSameOnEveryPool(
+            [&](ThreadPool* pool) {
+              return cpukernels::Conv2d(x, w, Params(attrs), epi, block,
+                                        pool);
+            },
+            (*want)[0], what);
+      }
+    }
   }
 }
 

@@ -1,13 +1,16 @@
 // Copyright (c) 2026 The Bolt Reproduction Authors.
 // SPDX-License-Identifier: Apache-2.0
 //
-// Cutlite's functional GEMM delegation to the blocked CPU backend:
+// Cutlite's functional GEMM and conv delegation to the blocked CPU
+// backend:
 //
-//  * the single-kernel path (split_k == 1, no column reduction) consults
-//    the tuned-block registry — observable through the
-//    cpu.tuned.lookup.{hit,miss} counters — and falls back to
-//    BlockConfig::FromTileShape on a miss, bit-identically either way;
-//  * split-K and column-reduction kernels keep the explicit tiled
+//  * the delegated path consults the tuned-block registry — observable
+//    through the cpu.tuned.lookup.{hit,miss} counters — and falls back to
+//    the host default block (BlockConfig{}) on a miss, bit-identically
+//    either way;
+//  * every conv delegates, split-K or not (the direct loop ignores
+//    split_k too), with results equal to the split_k == 1 kernel's;
+//  * split-K GEMMs and column-reduction kernels keep the explicit tiled
 //    traversal and never touch the registry (a poisoned-looking entry for
 //    their exact problem shape must go unread).
 
@@ -18,6 +21,7 @@
 #include "cpukernels/backend.h"
 #include "cpukernels/config.h"
 #include "cpukernels/tuned.h"
+#include "cutlite/conv.h"
 #include "cutlite/gemm.h"
 #include "ir/interpreter.h"
 
@@ -83,7 +87,7 @@ TEST_F(CutliteDelegationTest, ConsultsTunedRegistryAndFallsBackOnMiss) {
   args.bias = &bias;
 
   // Empty registry: the delegation looks the shape up, misses, and uses
-  // the threadblock-derived FromTileShape heuristic.
+  // the host default block.
   const int64_t hits0 = Hits(), misses0 = Misses();
   auto miss_run = kernel.Run(args);
   ASSERT_TRUE(miss_run.ok());
@@ -91,8 +95,8 @@ TEST_F(CutliteDelegationTest, ConsultsTunedRegistryAndFallsBackOnMiss) {
   EXPECT_EQ(Misses(), misses0 + 1);
 
   // Registered winner for this exact problem shape: the lookup hits.
-  // FromTileShape(threadblock) would be 128x128/kc32, so a deliberately
-  // different blocking proves the registry entry is the one consulted.
+  // The default block is 64x4096/kc256, so a deliberately different
+  // blocking proves the registry entry is the one consulted.
   auto tuned = cpukernels::BlockConfig::Make(8, 16, 8);
   ASSERT_TRUE(tuned.ok());
   ASSERT_TRUE(cpukernels::RegisterTunedBlock(cpukernels::TunedKind::kGemm,
@@ -113,7 +117,41 @@ TEST_F(CutliteDelegationTest, ConsultsTunedRegistryAndFallsBackOnMiss) {
   EXPECT_LE(hit_run.value().MaxAbsDiff(want), 2e-2f);
 }
 
-TEST_F(CutliteDelegationTest, SplitKKeepsTheExplicitPathAndSkipsRegistry) {
+TEST_F(CutliteDelegationTest, SplitKConvDelegatesAndConsultsRegistryOnce) {
+  ConvProblem p;
+  p.h = p.w = 6;
+  p.c = 16;
+  p.k = 24;
+  p.pad_h = p.pad_w = 1;
+  KernelConfig split = DefaultConfig();
+  split.split_k = 2;
+  const EpilogueSpec epi =
+      EpilogueSpec::WithActivation(ActivationKind::kRelu);
+  Conv2dKernel kernel(p, split, epi);
+  Conv2dKernel unsplit(p, DefaultConfig(), epi);
+  ASSERT_TRUE(kernel.CanImplement(kT4).ok());
+
+  Tensor x(TensorDesc(DType::kFloat16, {p.n, p.h, p.w, p.c}, Layout::kNHWC),
+           RandomMatrix(p.h * p.w, p.c, 401).data());
+  Tensor w(TensorDesc(DType::kFloat16, {p.k, p.r, p.s, p.c}),
+           RandomMatrix(p.k, p.r * p.s * p.c, 402).data());
+  Tensor bias(TensorDesc(DType::kFloat16, {p.k}, Layout::kRowMajor),
+              RandomMatrix(1, p.k, 403).data());
+
+  const int64_t hits0 = Hits(), misses0 = Misses();
+  auto run = kernel.Run(x, w, &bias);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(Hits() + Misses(), hits0 + misses0 + 1);
+
+  auto base = unsplit.Run(x, w, &bias);
+  ASSERT_TRUE(base.ok());
+  ASSERT_EQ(run->desc(), base->desc());
+  for (int64_t i = 0; i < base->num_elements(); ++i) {
+    EXPECT_EQ(run->at(i), base->at(i)) << "element " << i;
+  }
+}
+
+TEST_F(CutliteDelegationTest, SplitKGemmKeepsTheExplicitPathAndSkipsRegistry) {
   const int64_t m = 32, n = 64, k = 128;
   KernelConfig config = DefaultConfig();
   config.split_k = 2;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+
 #include "bolt/engine.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -245,6 +248,89 @@ TEST(EngineTest, PrimitiveHostOpsMatchReference) {
                                     (*want)[i], tol))
         << "output " << i;
   }
+}
+
+// Bit-for-bit tensor equality (zero signs included).
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.desc() == b.desc() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+void ExpectSameOutputs(const std::vector<Tensor>& got,
+                       const std::vector<Tensor>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(SameBits(got[i], want[i])) << what << " output " << i;
+  }
+}
+
+// Each constant's bytes must match the snapshot taken before any run.
+void ExpectConstantsUnchanged(const Graph& g,
+                              const std::map<NodeId, Tensor>& snapshot) {
+  ASSERT_EQ(g.constants().size(), snapshot.size());
+  for (const auto& [id, value] : snapshot) {
+    EXPECT_TRUE(SameBits(g.constant(id), value))
+        << "constant " << g.node(id).name << " was written";
+  }
+}
+
+TEST(EngineTest, ConstantsStayReadOnly) {
+  // Constants are bound by reference, so every in-place path must leave
+  // them alone: an Add whose single-use left operand is a constant (the
+  // buffer-stealing candidate), an activation and a Cast of a constant,
+  // and a constant that is itself a graph output.
+  GraphBuilder b(DType::kFloat16, Layout::kRowMajor);
+  const NodeId x = b.Input("x", {4, 8});
+  b.MarkOutput(b.Add(b.Constant("c_add", RandomWeight({4, 8}, 61)), x));
+  b.MarkOutput(b.Activation(b.Constant("c_act", RandomWeight({4, 8}, 62)),
+                            ActivationKind::kRelu));
+  b.MarkOutput(
+      b.Cast(b.Constant("c_cast", RandomWeight({4, 8}, 63)), DType::kFloat32));
+  b.MarkOutput(b.Constant("c_out", RandomWeight({4, 8}, 64)));
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  auto engine = Engine::Compile(*g, CompileOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  Tensor input(TensorDesc(DType::kFloat16, {4, 8}, Layout::kRowMajor));
+  Rng rng(65);
+  rng.FillNormal(input.data(), 0.5f);
+  input.Quantize();
+  const std::map<std::string, Tensor> inputs{{"x", input}};
+  const Graph& og = engine->optimized_graph();
+  const std::map<NodeId, Tensor> engine_snapshot = og.constants();
+  const std::map<NodeId, Tensor> graph_snapshot = g->constants();
+
+  auto first = engine->Run(inputs);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->size(), 4u);
+  for (int run = 0; run < 2; ++run) {
+    auto again = engine->Run(inputs);
+    ASSERT_TRUE(again.ok());
+    ExpectSameOutputs(*again, *first, StrCat("engine run ", run + 2));
+  }
+  std::vector<Result<std::vector<Tensor>>> concurrent(
+      4, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (auto& slot : concurrent) {
+    threads.emplace_back([&] { slot = engine->Run(inputs); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& out : concurrent) {
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ExpectSameOutputs(*out, *first, "concurrent engine run");
+  }
+  ExpectConstantsUnchanged(og, engine_snapshot);
+
+  const Interpreter interp(*g);
+  for (int run = 0; run < 3; ++run) {
+    auto out = interp.Run(inputs);
+    ASSERT_TRUE(out.ok());
+    ExpectSameOutputs(*out, *first, StrCat("interpreter run ", run + 1));
+  }
+  ExpectConstantsUnchanged(*g, graph_snapshot);
 }
 
 TEST(EngineTest, PaddingTriggersOnUnalignedProductionConv) {
