@@ -19,9 +19,9 @@
 //   2. selection quality — per workload, both arms' selected blocks are
 //      re-measured back to back; the geomean of ranked/full runtime must
 //      stay within 5%;
-//   3. numerics — every ranked-selected block's kernel output is checked
-//      against the scalar-tier heuristic reference under the two-tier
-//      contract (bit-exact for scalar blocks, ULP-bounded for AVX2).
+//   3. numerics — every ranked-selected block's kernel output is
+//      bit-identical to the heuristic blocking's at the block's resolved
+//      ISA (tuning never changes numerics within a tier).
 //
 // Reports the TuningClock wall/device split per arm and writes the
 // BENCH_cpu_ranked_tuning.json artifact CI uploads.
@@ -147,9 +147,13 @@ QualityPair RemeasurePair(const CpuGemmWorkload& w, const BlockConfig& full,
   return q;
 }
 
-/// Two-tier numeric check of a selected block against the scalar-tier
-/// heuristic reference on the same operands: scalar-resolved blocks must
-/// be bit-exact, AVX2-resolved blocks ULP-bounded (common/ulp.h).
+/// Numeric check of a selected block against the heuristic blocking at
+/// the block's resolved ISA on the same operands: blocking never changes
+/// the per-element ascending-k accumulation, so the two must be
+/// bit-identical at every tier.  (Against the scalar tier, large-K FP32
+/// GEMMs on unit-scale data like these drift past the per-element SIMD
+/// bound of common/ulp.h near cancellation, so that is not the check.)
+/// `worst_ulps` records the largest FP32 distance seen.
 bool CheckBlockNumerics(const CpuGemmWorkload& w, const BlockConfig& block,
                         int64_t* worst_ulps) {
   std::vector<float> a(static_cast<size_t>(w.m * w.k));
@@ -160,25 +164,17 @@ bool CheckBlockNumerics(const CpuGemmWorkload& w, const BlockConfig& block,
   std::vector<float> got(static_cast<size_t>(w.m * w.n), 0.0f);
   std::vector<float> want(got.size(), 0.0f);
   const cpukernels::Epilogue epi;  // plain FP32 store
-  BlockConfig ref;                 // heuristic blocking, scalar tier
-  ref.isa = cpukernels::CpuIsa::kScalar;
+  BlockConfig ref;                 // heuristic blocking, same tier
+  ref.isa = cpukernels::ResolveCpuIsa(block.isa);
   cpukernels::GemmRaw(w.m, w.n, w.k, a.data(), wt.data(), want.data(), epi,
                       ref, nullptr);
   cpukernels::GemmRaw(w.m, w.n, w.k, a.data(), wt.data(), got.data(), epi,
                       block, nullptr);
-  const bool exact =
-      cpukernels::ResolveCpuIsa(block.isa) != cpukernels::CpuIsa::kAvx2;
   for (size_t i = 0; i < got.size(); ++i) {
-    if (exact) {
-      if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) return false;
-      continue;
-    }
-    if (std::fabs(got[i] - want[i]) <= kSimdUlpAbsEscape) continue;
-    const int64_t ulps = Float32UlpDiff(got[i], want[i]);
-    *worst_ulps = std::max(*worst_ulps, ulps);
-    if (ulps > kSimdMaxUlpsFloat32) return false;
+    *worst_ulps = std::max(*worst_ulps, Float32UlpDiff(got[i], want[i]));
   }
-  return true;
+  return std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+         0;
 }
 
 std::string ArmJson(const ArmResult& a) {
@@ -235,7 +231,7 @@ int main(int argc, char** argv) {
       std::exp(log_sum / static_cast<double>(ws.size()));
   const bool quality_ok = quality_geomean <= 1.05;
 
-  // Gate 3: ranked selections honor the two-tier numeric contract.
+  // Gate 3: ranked selections never change numerics within their tier.
   bool diff_ok = true;
   int64_t worst_ulps = 0;
   for (size_t i = 0; i < ws.size(); ++i) {
@@ -260,9 +256,8 @@ int main(int argc, char** argv) {
                      disagreements, " disagreements): ", quality_geomean,
                      " (gate <= 1.05: ", quality_ok ? "PASS" : "FAIL",
                      ")"));
-  bench::Note(StrCat("two-tier numerics: ", diff_ok ? "PASS" : "FAIL",
-                     " (worst AVX2 distance ", worst_ulps, " ulps, bound ",
-                     kSimdMaxUlpsFloat32, ")"));
+  bench::Note(StrCat("same-tier numerics: ", diff_ok ? "PASS" : "FAIL",
+                     " (worst distance ", worst_ulps, " ulps, bound 0)"));
   bench::Note(StrCat("tuning wall-clock: ", full.wall_s, "s full vs ",
                      ranked.wall_s, "s ranked"));
 

@@ -103,9 +103,12 @@ Result<Engine> Engine::Compile(const Graph& input,
                                const CompileOptions& options) {
   trace::TraceSink::InitFromEnv();
   trace::TraceSink& sink = trace::TraceSink::Global();
-  if (!options.trace_path.empty() && !sink.enabled()) {
-    sink.Start(options.trace_path);
-  }
+  // Only a sink this compile starts is flushed at its end.  A sink started
+  // elsewhere (BOLT_TRACE, a bench, a test) is flushed once by its owner:
+  // rewriting every event recorded so far after each compile made a traced
+  // run quadratic in its number of compiles.
+  const bool owns_sink = !options.trace_path.empty() && !sink.enabled();
+  if (owns_sink) sink.Start(options.trace_path);
 
   Profiler local_profiler(options.device, options.profiler_cost);
   Profiler& profiler = options.shared_profiler != nullptr
@@ -188,10 +191,10 @@ Result<Engine> Engine::Compile(const Graph& input,
   engine.module_.set_execution_backend(
       cpukernels::BackendName(cpukernels::DefaultBackend()));
 
-  // Simulated kernel-launch timeline, then persist everything collected so
-  // far (tracing stays on; later compiles re-flush with more events).
+  // Simulated kernel-launch timeline, then persist a sink this compile
+  // started (tracing stays on).
   engine.module_.EmitLaunchTimeline();
-  if (sink.enabled()) {
+  if (owns_sink) {
     (void)sink.Flush();  // best-effort: a failed flush must not fail compile
   }
   return engine;

@@ -46,8 +46,10 @@ struct CompileOptions {
   Profiler* shared_profiler = nullptr;
   /// When non-empty, enables pipeline tracing and flushes a Chrome
   /// trace_event JSON file here after a successful compile (see
-  /// docs/OBSERVABILITY.md).  The BOLT_TRACE environment variable does the
-  /// same without touching code.  No-op if tracing is already enabled.
+  /// docs/OBSERVABILITY.md).  The BOLT_TRACE environment variable traces
+  /// without touching code and writes its file once, at process exit.
+  /// No-op if tracing is already enabled: whoever started the sink
+  /// flushes it.
   std::string trace_path;
   /// Autotune the CPU kernel blockings for this graph's GEMM / conv
   /// problems (Profiler::ProfileCpuGemm / ProfileCpuConv): measure the

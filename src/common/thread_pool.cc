@@ -110,7 +110,12 @@ void ThreadPool::ParallelFor(int64_t n,
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait(lock, [&] { return state->done.load() == n; });
   }
-  if (state->error != nullptr) std::rethrow_exception(state->error);
+  // Rethrow from a local that owns the only reference: helpers may still
+  // hold `state`, and the last exception_ptr released on a helper thread
+  // would free the exception concurrently with the caller's catch.
+  std::exception_ptr error = std::move(state->error);
+  state->error = nullptr;
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace bolt

@@ -69,7 +69,18 @@ void TraceSink::InitFromEnv() {
   const char* env = std::getenv("BOLT_TRACE");
   if (env == nullptr || env[0] == '\0') return;
   TraceSink& sink = Global();
-  if (!sink.enabled()) sink.Start(env);
+  if (sink.enabled()) return;
+  sink.Start(env);
+  // One flush at process exit, not one per compile.  The sink (and the
+  // metrics registry it snapshots) is never destroyed, so it is still
+  // alive when the hook runs.
+  static std::once_flag exit_hook;
+  std::call_once(exit_hook, [] {
+    std::atexit([] {
+      TraceSink& s = Global();
+      if (s.enabled()) (void)s.Flush();  // best-effort at exit
+    });
+  });
 }
 
 std::string TraceSink::path() const {

@@ -94,7 +94,9 @@ class TraceSink {
   /// Disables collection and discards events.
   void Stop();
   /// Starts from the BOLT_TRACE environment variable if it is set and the
-  /// sink is not already enabled.  Safe to call often.
+  /// sink is not already enabled, and registers (once) an exit hook that
+  /// flushes the sink if it is still enabled when the process exits.  Safe
+  /// to call often.
   static void InitFromEnv();
 
   bool enabled() const {

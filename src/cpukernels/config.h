@@ -76,8 +76,8 @@ struct BlockConfig {
   int nc = 4096;  // cols of B packed per panel (threadblock.n analogue)
   ParallelScheme scheme = ParallelScheme::kLoopLevel;
   /// Micro-kernel instruction set, resolved per launch via ResolveCpuIsa
-  /// (kAuto follows BOLT_CPU_ISA, defaulting to the bit-exact scalar
-  /// tier).  A tunable axis like `scheme`: the profiler measures scalar
+  /// (kAuto follows BOLT_CPU_ISA, defaulting to the host's best rung).
+  /// A tunable axis like `scheme`: the profiler measures scalar
   /// vs AVX2 per problem shape instead of assuming wider is faster.
   CpuIsa isa = CpuIsa::kAuto;
   /// Software-prefetch the next packed A/B micro-panels in the macro

@@ -224,7 +224,7 @@ CpuIsa EnvCpuIsa() {
 CpuIsa ResolveCpuIsaFor(CpuIsa requested, CpuIsa env, CpuIsa host) {
   if (env == CpuIsa::kScalar) return CpuIsa::kScalar;  // hard kill-switch
   if (requested == CpuIsa::kAuto) requested = env;
-  if (requested == CpuIsa::kAuto) return CpuIsa::kScalar;  // opt-in only
+  if (requested == CpuIsa::kAuto) requested = host;  // best probed rung
   const int rank = CpuIsaRank(requested) < CpuIsaRank(host)
                        ? CpuIsaRank(requested)
                        : CpuIsaRank(host);

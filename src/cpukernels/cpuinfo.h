@@ -32,10 +32,10 @@ namespace cpukernels {
 /// ordered: scalar < avx2 < avx512; resolution clamps a request down the
 /// ladder to what the host can execute.
 enum class CpuIsa : int {
-  /// Follow the process default: BOLT_CPU_ISA if set, otherwise scalar.
-  /// The default is deliberately *not* "fastest detected" — the scalar
-  /// tier is bit-exact against the reference oracle, and relaxing that
-  /// must be an explicit opt-in.
+  /// Follow the process default: BOLT_CPU_ISA if set, otherwise the best
+  /// rung the host probe finds (DetectedCpuIsa).  Default numerics are
+  /// therefore ULP-bounded on SIMD hosts; BOLT_CPU_ISA=scalar restores
+  /// the bit-exact tier process-wide.
   kAuto = 0,
   /// Portable scalar micro-kernel; bit-identical to RefExecutor.
   kScalar = 1,
@@ -114,8 +114,8 @@ CpuIsa EnvCpuIsa();
 ///   * an explicit request otherwise wins, clamped down the ladder to
 ///     what the host can run (kAvx512 degrades to kAvx2 on AVX2-only
 ///     hosts, to kScalar on scalar hosts; kAvx2 never widens to kAvx512).
-///   * kAuto follows env (clamped), and defaults to kScalar when env is
-///     unset: FMA relaxation is opt-in.
+///   * kAuto follows env (clamped), and defaults to the host's best
+///     rung when env is unset.
 /// The result is always executable: kScalar, kAvx2, or kAvx512 — never
 /// kAuto.
 CpuIsa ResolveCpuIsaFor(CpuIsa requested, CpuIsa env, CpuIsa host);

@@ -5,7 +5,8 @@
 //  * ~200 randomized (shape, layout, epilogue, BlockConfig, thread-count)
 //    tuples — including degenerate blocks (mc < kMR, nc not a multiple of
 //    kNR, non-positive everything) — asserting the fast backend stays
-//    bit-identical to the reference oracle under ANY blocking and either
+//    within its resolved tier of the reference oracle (bit-identical at
+//    scalar, ULP-bounded at a SIMD rung) under ANY blocking and either
 //    parallelization scheme
 //  * the tuned-block registry: backend gating (the reference oracle must
 //    never see tuned state), interpreter integration
@@ -226,7 +227,7 @@ TEST(CandidateEnumerationTest, Avx512AddsAnExplicitAvx2Rung) {
 // Randomized differential harness: ~200 (shape, layout, epilogue,
 // BlockConfig, thread-count) tuples against the naive reference loops.
 // Degenerate blocks ride through GemmCore's clamping; results must stay
-// bit-identical regardless.
+// within the resolved tier regardless.
 // ---------------------------------------------------------------------------
 
 using difftest::RandomBlock;
@@ -453,6 +454,8 @@ TEST(TunedRegistryTest, InterpreterHonorsTunedBlocksBitExactly) {
 
   // Conv2dAttrs{} defaults: 3x3 stride-1 pad-0 -> oh = ow = 7.
   const int64_t conv_m = 1 * 7 * 7, conv_n = 10, conv_k = 3 * 3 * 6;
+  // FP16 graph: bit-exact at every ISA rung (FP16 products are exact in
+  // FP32, so FMA and multiply-then-add round identically).
   BlockConfig tiny = BlockConfig::Make(kMR, 8, kNR).value();
   ASSERT_TRUE(cpukernels::RegisterTunedBlock(TunedKind::kConv, conv_m,
                                              conv_n, conv_k, tiny));
@@ -670,7 +673,9 @@ TEST(EngineCpuTuneTest, TunedCompileMatchesUntunedBitExactly) {
     EXPECT_GT(cpukernels::TunedBlockCount(), 0);
   }
 
-  // Tuned execution is bit-identical to the fixed heuristic.
+  // Tuned execution is bit-identical to the fixed heuristic at every rung:
+  // the tuner also sweeps the ISA axis, but FP16 x FP16 products are exact
+  // in FP32, so a scalar and an FMA block round each term identically.
   auto got = tuned->Run(in);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got.value().size(), base.value().size());

@@ -5,6 +5,13 @@
 // count.  MaxAbsDiff is the comparator so the padding-tap signed-zero
 // difference (blocked adds +-0.0 terms the reference loop skips) is not
 // flagged.
+//
+// Bit identity is the scalar tier's contract, so every comparison against
+// the reference pins its launch to CpuIsa::kScalar (a BlockConfig for the
+// kernel calls, InterpreterOptions::block for the interpreter): the
+// process default resolves to the host's best SIMD rung, which is only
+// ULP-bounded (test_simd_kernels covers that tier).  The thread-count
+// determinism checks compare a launch with itself and hold at any tier.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +37,13 @@ Tensor RandomTensor(TensorDesc desc, uint64_t seed = 1) {
 }
 
 const std::vector<ActivationKind>& kAllActivations = difftest::kActivations;
+
+// Default blocking pinned to the bit-exact scalar tier.
+cpukernels::BlockConfig ScalarBlock() {
+  cpukernels::BlockConfig cfg;
+  cfg.isa = cpukernels::CpuIsa::kScalar;
+  return cfg;
+}
 
 // ---------------------------------------------------------------------------
 // Backend environment-variable parsing (strict from_chars discipline)
@@ -88,7 +102,7 @@ TEST(CpuGemmTest, MatchesReferenceAcrossShapes) {
           cpukernels::Epilogue epi;
           epi.output_dtype = dt;
           epi.boundary_quantize = true;
-          Tensor got = cpukernels::Gemm(a, w, epi);
+          Tensor got = cpukernels::Gemm(a, w, epi, ScalarBlock());
           Tensor want = refop::Dense(a, w);
           EXPECT_EQ(got.MaxAbsDiff(want), 0.0f)
               << "m=" << m << " n=" << n << " k=" << k << " "
@@ -102,7 +116,7 @@ TEST(CpuGemmTest, MatchesReferenceAcrossShapes) {
 TEST(CpuGemmTest, TinyBlockingExercisesAllEdges) {
   // A deliberately tiny block config forces multiple jc/pc/ic iterations
   // and partial tiles in every dimension.
-  cpukernels::BlockConfig cfg;
+  cpukernels::BlockConfig cfg = ScalarBlock();
   cfg.mc = 8;
   cfg.kc = 8;
   cfg.nc = 16;
@@ -125,7 +139,7 @@ TEST(CpuGemmTest, FusedEpilogueMatchesUnfusedChain) {
     epi.boundary_quantize = true;
     epi.bias = bias.data().data();
     epi.acts = {act};
-    Tensor got = cpukernels::Gemm(a, w, epi);
+    Tensor got = cpukernels::Gemm(a, w, epi, ScalarBlock());
     Tensor want =
         refop::Activation(refop::BiasAdd(refop::Dense(a, w), bias), act);
     EXPECT_EQ(got.MaxAbsDiff(want), 0.0f) << ActivationName(act);
@@ -141,7 +155,7 @@ TEST(CpuGemmTest, ResidualEpilogueMatchesUnfusedChain) {
   epi.boundary_quantize = true;
   epi.acts = {ActivationKind::kRelu};
   epi.residual = res.data().data();
-  Tensor got = cpukernels::Gemm(a, w, epi);
+  Tensor got = cpukernels::Gemm(a, w, epi, ScalarBlock());
   Tensor want = refop::Add(
       refop::Activation(refop::Dense(a, w), ActivationKind::kRelu), res);
   EXPECT_EQ(got.MaxAbsDiff(want), 0.0f);
@@ -162,7 +176,7 @@ TEST(CpuGemmTest, CutliteModeQuantizesOnce) {
   epi.residual = res.data().data();
   epi.acts = {ActivationKind::kRelu};
   epi.output_dtype = DType::kFloat16;
-  Tensor got = cpukernels::Gemm(a, w, epi);
+  Tensor got = cpukernels::Gemm(a, w, epi, ScalarBlock());
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) {
       float acc = 0.0f;
@@ -227,7 +241,7 @@ void ExpectConvMatchesReference(const Tensor& x, const Tensor& w,
   cpukernels::Epilogue epi;
   epi.output_dtype = x.dtype();
   epi.boundary_quantize = true;
-  Tensor got = cpukernels::Conv2d(x, w, Params(a), epi);
+  Tensor got = cpukernels::Conv2d(x, w, Params(a), epi, ScalarBlock());
   Tensor want = refop::Conv2d(x, w, a);
   EXPECT_EQ(got.desc(), want.desc()) << what;
   EXPECT_EQ(got.MaxAbsDiff(want), 0.0f) << what;
@@ -286,7 +300,7 @@ TEST(CpuConvTest, FusedEpilogueMatchesUnfusedChain) {
     epi.boundary_quantize = true;
     epi.bias = bias.data().data();
     epi.acts = {act};
-    Tensor got = cpukernels::Conv2d(x, w, Params(a), epi);
+    Tensor got = cpukernels::Conv2d(x, w, Params(a), epi, ScalarBlock());
     Tensor want = refop::Activation(
         refop::BiasAdd(refop::Conv2d(x, w, a), bias), act);
     EXPECT_EQ(got.MaxAbsDiff(want), 0.0f) << ActivationName(act);
@@ -457,6 +471,7 @@ void ExpectAllModesMatchReference(const Graph& g,
       o.backend = cpukernels::Backend::kFastCpu;
       o.fuse_epilogues = fuse;
       o.parallel = parallel;
+      o.block = ScalarBlock();
       Interpreter interp(g, o);
       auto got = interp.Run(in);
       ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -5,7 +5,7 @@
 //
 //  * ISA knob plumbing: ParseCpuIsa / the strict ParseCpuIsaEnv, the
 //    ResolveCpuIsaFor decision matrix (env kill-switch, ladder clamp,
-//    opt-in default) across all three rungs, arch-token suffixing.
+//    best-rung default) across all three rungs, arch-token suffixing.
 //  * The differential harness proper: 512 randomized (shape, layout,
 //    epilogue, BlockConfig, ISA, prefetch, thread-count) tuples per op —
 //    GEMM and conv — against the reference interpreter, each held to the
@@ -128,10 +128,11 @@ TEST(CpuIsaTest, ResolutionMatrix) {
       EXPECT_EQ(ResolveCpuIsaFor(requested, S, host), S);
     }
   }
-  // Unset env (kAuto): SIMD is opt-in — kAuto stays scalar, an explicit
-  // request is honored clamped down the ladder to what the host can run.
-  EXPECT_EQ(ResolveCpuIsaFor(A, A, V), S);
-  EXPECT_EQ(ResolveCpuIsaFor(A, A, Z), S);
+  // Unset env (kAuto): kAuto takes the host's best probed rung, an
+  // explicit request is honored clamped down the ladder to what the host
+  // can run.
+  EXPECT_EQ(ResolveCpuIsaFor(A, A, V), V);
+  EXPECT_EQ(ResolveCpuIsaFor(A, A, Z), Z);
   EXPECT_EQ(ResolveCpuIsaFor(A, A, S), S);
   EXPECT_EQ(ResolveCpuIsaFor(V, A, V), V);
   EXPECT_EQ(ResolveCpuIsaFor(V, A, S), S);  // clamped to host

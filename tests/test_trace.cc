@@ -185,7 +185,8 @@ TEST(TraceTest, RepVggTraceIsSchemaValidAndAccountsForTuningTime) {
   const TuningReport& report = engine->tuning_report();
   trace::TraceSink::Global().Stop();
 
-  // Compile flushed the trace; it must be well-formed JSON.
+  // Compile started the sink, so it flushed the trace; it must be
+  // well-formed JSON.
   std::string json;
   ASSERT_TRUE(ReadFile(path, &json).ok());
   EXPECT_TRUE(JsonValidator(json).Valid());
@@ -245,6 +246,45 @@ TEST(TraceTest, RepVggTraceIsSchemaValidAndAccountsForTuningTime) {
   EXPECT_GE(tuning_max_end_us, 0.95 * report.seconds * 1e6);
   EXPECT_GT(report.seconds, 0.0);
 
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, CompilesLeaveASinkTheyDidNotStartToItsOwner) {
+  // A sink started elsewhere (here by the test, as BOLT_TRACE or a bench
+  // would) is not rewritten after every compile; its owner flushes once.
+  const std::string path = testing::TempDir() + "bolt_trace_owner.json";
+  const std::string ignored = testing::TempDir() + "bolt_trace_ignored.json";
+#ifdef __unix__
+  unsetenv("BOLT_TRACE");  // the test owns the trace destination
+#endif
+  std::remove(path.c_str());
+  std::remove(ignored.c_str());
+  trace::TraceSink& sink = trace::TraceSink::Global();
+  sink.Stop();
+  sink.Start(path);
+
+  GraphBuilder b(DType::kFloat32, Layout::kRowMajor);
+  Tensor w(TensorDesc(DType::kFloat32, {8, 16}));
+  NodeId y = b.Dense(b.Input("x", {4, 16}), b.Constant("w", w));
+  b.MarkOutput(b.Activation(y, ActivationKind::kRelu));
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  for (int i = 0; i < 20; ++i) {
+    CompileOptions opts;
+    // trace_path is a no-op while another owner's sink is running.
+    if (i == 0) opts.trace_path = ignored;
+    ASSERT_TRUE(Engine::Compile(*g, opts).ok());
+  }
+  EXPECT_GT(sink.event_count(), 0u);
+  std::string json;
+  EXPECT_FALSE(ReadFile(path, &json).ok()) << "a compile flushed the sink";
+  EXPECT_FALSE(ReadFile(ignored, &json).ok());
+
+  ASSERT_TRUE(sink.Flush().ok());
+  ASSERT_TRUE(ReadFile(path, &json).ok());
+  EXPECT_TRUE(JsonValidator(json).Valid());
+  EXPECT_NE(json.find("\"LayoutTransformPass\""), std::string::npos);
+  sink.Stop();
   std::remove(path.c_str());
 }
 

@@ -3,12 +3,21 @@
 
 #include "testing/diff_harness.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <utility>
 
+#include "common/fileio.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/ulp.h"
@@ -112,7 +121,7 @@ class DiffSummaryEnvironment : public ::testing::Environment {
   void TearDown() override {
     const char* path = std::getenv("BOLT_DIFF_SUMMARY");
     if (path == nullptr || *path == '\0') return;
-    const Status s = WriteDiffSummary(path);
+    const Status s = MergeDiffSummary(path);
     if (!s.ok()) {
       ADD_FAILURE() << "BOLT_DIFF_SUMMARY write failed: " << s.message();
     }
@@ -158,21 +167,52 @@ OpStats StatsFor(const std::string& op) {
   return ::testing::AssertionSuccess();
 }
 
-Status WriteDiffSummary(const std::string& path) {
-  std::map<std::string, OpStats> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(g_stats_mu);
-    snapshot = StatsMap();
+::testing::AssertionResult CheckModelDiff(const std::string& op,
+                                          const Tensor& got,
+                                          const Tensor& want) {
+  (void)kSummaryEnvRegistered;
+  const bool halfs = got.dtype() == DType::kFloat16;
+  Tolerance tol;
+  tol.max_ulps = halfs ? kModelMaxScaleUlpsFloat16 : kModelMaxScaleUlpsFloat32;
+  float scale = 0.0f;
+  for (float v : want.data()) scale = std::max(scale, std::abs(v));
+  // One ULP at `scale` on the storage grid (subnormal spacing below the
+  // smallest normal).
+  const int mantissa_bits = halfs ? 10 : 23;
+  const int min_exp = halfs ? -14 : -126;
+  const int exp = scale > 0.0f ? std::max(std::ilogb(scale), min_exp)
+                               : min_exp;
+  const float ulp = std::ldexp(1.0f, exp - mantissa_bits);
+  const float abs = got.MaxAbsDiff(want);
+  // NaN or overflow saturates (and fails) instead of an undefined cast.
+  const double ratio = std::isfinite(abs) ? std::ceil(abs / ulp) : 1e18;
+  const int64_t ulps = static_cast<int64_t>(std::min(ratio, 1e18));
+  const bool failed = ulps > tol.max_ulps;
+  Record(op, ulps, failed, tol);
+  if (failed) {
+    return ::testing::AssertionFailure()
+           << "whole-model bound violated for " << op << ": MaxAbsDiff="
+           << abs << " is " << ulps << " ULPs of the output scale " << scale
+           << " (bound " << tol.max_ulps << ")";
   }
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::InvalidArgument(StrCat("cannot open ", path));
-  }
+  return ::testing::AssertionSuccess();
+}
+
+namespace {
+
+std::map<std::string, OpStats> Snapshot() {
+  std::lock_guard<std::mutex> lock(g_stats_mu);
+  return StatsMap();
+}
+
+Status WriteSummary(const std::string& path,
+                    const std::map<std::string, OpStats>& ops) {
+  std::ostringstream out;
   out << "{\n  \"isa\": \""
       << cpukernels::CpuIsaName(cpukernels::DefaultCpuIsa())
       << "\",\n  \"ops\": {";
   bool first = true;
-  for (const auto& [op, s] : snapshot) {
+  for (const auto& [op, s] : ops) {
     out << (first ? "" : ",") << "\n    \"" << op << "\": {"
         << "\"checks\": " << s.checks << ", \"failures\": " << s.failures
         << ", \"max_ulps\": " << s.max_ulps
@@ -180,8 +220,51 @@ Status WriteDiffSummary(const std::string& path) {
     first = false;
   }
   out << "\n  }\n}\n";
-  if (!out.good()) return Status::Internal(StrCat("write failed: ", path));
-  return Status::Ok();
+  return WriteFileAtomic(path, out.str());
+}
+
+/// Folds the per-op lines WriteSummary wrote at `path` into `ops`: checks
+/// and failures add up, max_ulps and bound_ulps take the max.  A missing
+/// file merges nothing.
+void MergeSummaryFile(const std::string& path,
+                      std::map<std::string, OpStats>* ops) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    char op[128];
+    long long checks = 0, failures = 0, max_ulps = 0, bound_ulps = 0;
+    if (std::sscanf(line.c_str(),
+                    " \"%127[^\"]\": {\"checks\": %lld, \"failures\": %lld, "
+                    "\"max_ulps\": %lld, \"bound_ulps\": %lld}",
+                    op, &checks, &failures, &max_ulps, &bound_ulps) != 5) {
+      continue;
+    }
+    OpStats& s = (*ops)[op];
+    s.checks += checks;
+    s.failures += failures;
+    s.max_ulps = std::max<int64_t>(s.max_ulps, max_ulps);
+    s.bound_ulps = std::max<int64_t>(s.bound_ulps, bound_ulps);
+  }
+}
+
+}  // namespace
+
+Status WriteDiffSummary(const std::string& path) {
+  return WriteSummary(path, Snapshot());
+}
+
+Status MergeDiffSummary(const std::string& path) {
+  // Serializes the read-merge-write against test binaries running
+  // concurrently (ctest -j).
+  const int lock_fd = ::open((path + ".lock").c_str(), O_CREAT | O_RDWR, 0644);
+  if (lock_fd < 0) return Status::InvalidArgument(StrCat("cannot lock ", path));
+  ::flock(lock_fd, LOCK_EX);
+  std::map<std::string, OpStats> ops = Snapshot();
+  MergeSummaryFile(path, &ops);
+  const Status st = WriteSummary(path, ops);
+  ::flock(lock_fd, LOCK_UN);
+  ::close(lock_fd);
+  return st;
 }
 
 }  // namespace difftest

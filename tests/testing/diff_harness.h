@@ -23,8 +23,8 @@
 //     logs the seed and tuple.
 //
 // When $BOLT_DIFF_SUMMARY names a file, a gtest environment registered by
-// the harness writes a JSON summary of the per-op ULP accounting there at
-// process teardown — CI uploads it as the diff-harness artifact.
+// the harness merges a JSON summary of the per-op ULP accounting into it
+// at process teardown — CI uploads it as the diff-harness artifact.
 
 #pragma once
 
@@ -103,9 +103,24 @@ OpStats StatsFor(const std::string& op);
                                      const Tensor& got, const Tensor& want,
                                      const Tolerance& tol);
 
-/// Writes the per-op accounting as JSON to `path`.  Called automatically
-/// at gtest teardown when $BOLT_DIFF_SUMMARY is set; callable directly.
+/// Whole-model check: an Engine::Run output `got` against RefExecutor's
+/// `want` on the input graph.  Passes when every element is within
+/// kModelMaxScaleUlps{Float16,Float32} (common/ulp.h) ULPs of want's
+/// largest magnitude on got's storage grid; the bound is the same at
+/// every rung.  Accounted under `op` like CheckDiff, in those scale ULPs.
+::testing::AssertionResult CheckModelDiff(const std::string& op,
+                                          const Tensor& got,
+                                          const Tensor& want);
+
+/// Writes the per-op accounting as JSON to `path`.
 Status WriteDiffSummary(const std::string& path);
+
+/// Like WriteDiffSummary, but folds in the per-op accounting already at
+/// `path` (checks and failures add up, ULP maxima take the max), under a
+/// lock on `path`.lock.  Called at gtest teardown when $BOLT_DIFF_SUMMARY
+/// is set, so a preset that runs every test binary against one summary
+/// path gets the whole suite's accounting.
+Status MergeDiffSummary(const std::string& path);
 
 }  // namespace difftest
 }  // namespace bolt
