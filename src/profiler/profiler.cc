@@ -498,43 +498,55 @@ bool Profiler::TryClaimFlight(const std::string& key) {
   return false;
 }
 
+namespace {
+
+/// Copies `key`'s entry from `cache` into `*hit` (marked as a cache hit)
+/// under a read lock on `mu`; false on a miss.
+template <typename R>
+bool FindCached(std::shared_mutex& mu, const std::map<std::string, R>& cache,
+                const std::string& key, R* hit) {
+  std::shared_lock<std::shared_mutex> read(mu);
+  auto it = cache.find(key);
+  if (it == cache.end()) return false;
+  *hit = it->second;
+  hit->cache_hit = true;
+  return true;
+}
+
+}  // namespace
+
+// The three admissions below re-check the cache after claiming a flight:
+// an owner publishes to the cache before it releases the key, so a thread
+// that missed the cache just before that publish and claimed the key just
+// after it finds the result there instead of profiling the workload again.
+
 bool Profiler::LookupOrBeginFlight(const std::string& key,
                                    ProfileResult* hit) {
-  for (;;) {
-    {
-      std::shared_lock<std::shared_mutex> read(cache_mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        *hit = it->second;
-        hit->cache_hit = true;
-        ProfilerInstruments::Get().cache_hits.Increment();
-        return true;
-      }
+  ProfilerInstruments& im = ProfilerInstruments::Get();
+  for (bool claimed = false;; claimed = TryClaimFlight(key)) {
+    if (FindCached(cache_mu_, cache_, key, hit)) {
+      if (claimed) AbandonFlight(key);
+      im.cache_hits.Increment();
+      return true;
     }
-    if (TryClaimFlight(key)) {
-      ProfilerInstruments::Get().cache_misses.Increment();
+    if (claimed) {
+      im.cache_misses.Increment();
       return false;
     }
-    // A concurrent flight for this key finished (or was abandoned):
-    // re-check the cache and, on a miss, claim the flight ourselves.
   }
 }
 
 bool Profiler::LookupOrBeginFlightB2b(const std::string& key,
                                       B2bProfileResult* hit) {
-  for (;;) {
-    {
-      std::shared_lock<std::shared_mutex> read(cache_mu_);
-      auto it = b2b_cache_.find(key);
-      if (it != b2b_cache_.end()) {
-        *hit = it->second;
-        hit->cache_hit = true;
-        ProfilerInstruments::Get().cache_hits.Increment();
-        return true;
-      }
+  ProfilerInstruments& im = ProfilerInstruments::Get();
+  for (bool claimed = false;; claimed = TryClaimFlight(key)) {
+    if (FindCached(cache_mu_, b2b_cache_, key, hit)) {
+      if (claimed) AbandonFlight(key);
+      im.cache_hits.Increment();
+      return true;
     }
-    if (TryClaimFlight(key)) {
-      ProfilerInstruments::Get().cache_misses.Increment();
+    if (claimed) {
+      im.cache_misses.Increment();
       return false;
     }
   }
@@ -542,19 +554,15 @@ bool Profiler::LookupOrBeginFlightB2b(const std::string& key,
 
 bool Profiler::LookupOrBeginFlightCpu(const std::string& key,
                                       CpuProfileResult* hit) {
-  for (;;) {
-    {
-      std::shared_lock<std::shared_mutex> read(cache_mu_);
-      auto it = cpu_cache_.find(key);
-      if (it != cpu_cache_.end()) {
-        *hit = it->second;
-        hit->cache_hit = true;
-        CpuTuneInstruments::Get().cache_hits.Increment();
-        return true;
-      }
+  CpuTuneInstruments& im = CpuTuneInstruments::Get();
+  for (bool claimed = false;; claimed = TryClaimFlight(key)) {
+    if (FindCached(cache_mu_, cpu_cache_, key, hit)) {
+      if (claimed) AbandonFlight(key);
+      im.cache_hits.Increment();
+      return true;
     }
-    if (TryClaimFlight(key)) {
-      CpuTuneInstruments::Get().cache_misses.Increment();
+    if (claimed) {
+      im.cache_misses.Increment();
       return false;
     }
   }
