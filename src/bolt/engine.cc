@@ -135,11 +135,8 @@ Result<Engine> Engine::Compile(const Graph& input,
     return out;
   };
 
-  Graph g = run_pass("LayoutTransformPass", input.num_nodes(), [&] {
-    return options.enable_layout_transform
-               ? LayoutTransformPass(input, &stats)
-               : LayoutTransformPass(input, nullptr);  // still need NHWC
-  });
+  Graph g = run_pass("LayoutTransformPass", input.num_nodes(),
+                     [&] { return LayoutTransformPass(input, &stats); });
   g = run_pass("FoldBatchNormPass", g.num_nodes(),
                [&] { return FoldBatchNormPass(g, &stats); });
   g = run_pass("EpilogueFusionPass", g.num_nodes(), [&] {

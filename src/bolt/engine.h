@@ -34,7 +34,6 @@ class Interpreter;
 
 struct CompileOptions {
   DeviceSpec device = DeviceSpec::TeslaT4();
-  bool enable_layout_transform = true;
   bool enable_epilogue_fusion = true;
   bool enable_persistent_fusion = true;
   bool enable_padding = true;

@@ -1,6 +1,7 @@
 #include "bolt/passes.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -148,139 +149,42 @@ GemmCoord GemmProblemOf(const Graph& graph, const Node& node, int stage) {
   return GemmCoord(xd.shape[0], wd.shape[0], wd.shape[1]);
 }
 
-Graph LayoutTransformPass(const Graph& graph, PassStats* stats) {
-  // Already NHWC (or no 4-D activations)? Pass through.
-  bool any_nchw = false;
-  for (const Node& n : graph.nodes()) {
-    if (n.kind == OpKind::kInput && n.out_desc.layout == Layout::kNCHW) {
-      any_nchw = true;
-    }
-  }
-  if (!any_nchw) {
-    Rebuild rb(graph);
-    for (const Node& n : graph.nodes()) rb.Copy(n);
-    return rb.Finish();
-  }
+namespace {
 
-  // Re-issue every op through a builder in NHWC, transforming at the
-  // boundary. Shape inference is reused from GraphBuilder.
-  GraphBuilder b(graph.nodes().empty() ? DType::kFloat16
-                                       : graph.nodes()[0].out_desc.dtype,
-                 Layout::kNHWC);
-  std::vector<NodeId> remap(graph.num_nodes(), -1);
-  for (const Node& n : graph.nodes()) {
-    switch (n.kind) {
-      case OpKind::kInput: {
-        NodeId id = b.Input(n.name, n.out_desc.shape, n.out_desc.layout);
-        if (n.out_desc.rank() == 4 && n.out_desc.layout == Layout::kNCHW) {
-          id = b.LayoutTransform(id, Layout::kNHWC, n.name + "_to_nhwc");
-          if (stats != nullptr) ++stats->layout_transforms_inserted;
-        }
-        remap[n.id] = id;
-        break;
-      }
-      case OpKind::kConstant: {
-        remap[n.id] = graph.is_constant(n.id)
-                          ? b.Constant(n.name, graph.constant(n.id))
-                          : b.ConstantDesc(n.name, n.out_desc);
-        break;
-      }
-      case OpKind::kConv2d:
-        remap[n.id] = b.Conv2d(remap[n.inputs[0]], remap[n.inputs[1]],
-                               Conv2dAttrs::FromNode(n), n.name);
-        break;
-      case OpKind::kDense:
-        remap[n.id] =
-            b.Dense(remap[n.inputs[0]], remap[n.inputs[1]], n.name);
-        break;
-      case OpKind::kBiasAdd:
-        remap[n.id] =
-            b.BiasAdd(remap[n.inputs[0]], remap[n.inputs[1]], n.name);
-        break;
-      case OpKind::kActivation: {
-        auto k = ActivationFromName(n.attrs.GetStr("kind"));
-        remap[n.id] = b.Activation(remap[n.inputs[0]], k.value(), n.name);
-        break;
-      }
-      case OpKind::kAdd:
-        remap[n.id] = b.Add(remap[n.inputs[0]], remap[n.inputs[1]], n.name);
-        break;
-      case OpKind::kMul:
-        remap[n.id] = b.Mul(remap[n.inputs[0]], remap[n.inputs[1]], n.name);
-        break;
-      case OpKind::kCast:
-        remap[n.id] = b.Cast(remap[n.inputs[0]], n.out_desc.dtype, n.name);
-        break;
-      case OpKind::kMaxPool2d:
-        remap[n.id] = b.MaxPool2d(remap[n.inputs[0]],
-                                  n.attrs.GetInt("kernel"),
-                                  n.attrs.GetInt("stride"), n.name);
-        break;
-      case OpKind::kGlobalAvgPool:
-        remap[n.id] = b.GlobalAvgPool(remap[n.inputs[0]], n.name);
-        break;
-      case OpKind::kFlatten:
-        remap[n.id] = b.Flatten(remap[n.inputs[0]], n.name);
-        break;
-      case OpKind::kSoftmax:
-        remap[n.id] = b.Softmax(remap[n.inputs[0]], n.name);
-        break;
-      case OpKind::kBatchNorm:
-        remap[n.id] = b.BatchNorm(remap[n.inputs[0]], remap[n.inputs[1]],
-                                  remap[n.inputs[2]], remap[n.inputs[3]],
-                                  remap[n.inputs[4]],
-                                  n.attrs.GetFloat("eps", 1e-5), n.name);
-        break;
-      case OpKind::kConcat: {
-        std::vector<NodeId> parts;
-        for (NodeId in : n.inputs) parts.push_back(remap[in]);
-        remap[n.id] = b.Concat(parts, n.name);
-        break;
-      }
-      default:
-        BOLT_CHECK_MSG(false, "LayoutTransformPass must run before fusion; "
-                              "unexpected op "
-                                  << OpKindName(n.kind));
-    }
-  }
-  for (NodeId out : graph.output_ids()) {
-    NodeId id = remap[out];
-    const Node& n = graph.node(out);
-    if (n.out_desc.rank() == 4 && n.out_desc.layout == Layout::kNCHW) {
-      id = b.LayoutTransform(id, Layout::kNCHW, n.name + "_to_nchw");
-      if (stats != nullptr) ++stats->layout_transforms_inserted;
-    }
-    b.MarkOutput(id);
-  }
-  auto built = b.Build();
-  BOLT_CHECK_MSG(built.ok(), built.status().ToString());
-  return std::move(built).value();
+bool IsActivationLayout(Layout l) {
+  return l == Layout::kNCHW || l == Layout::kNHWC || l == Layout::kNCHWc;
 }
 
-Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
-                       PassStats* stats) {
-  const PartitionResult parts = PartitionGraph(
-      graph,
-      [](const Graph& g, const Node& n) { return IsLayoutFlexible(g, n); });
-  const LayoutPlan plan =
-      AssignRegionLayouts(graph, parts, MakeCpuLayoutCostModel(spec));
+/// A rank-4 activation with a 1x1 spatial map: NCHW, NHWC and NCHWc then
+/// share one physical element order.
+bool IsPointMap(const TensorDesc& d) {
+  const bool nhwc = d.layout == Layout::kNHWC;
+  return d.rank() == 4 && d.shape[nhwc ? 1 : 2] == 1 &&
+         d.shape[nhwc ? 2 : 3] == 1;
+}
 
-  bool any_choice = false;
-  for (Layout l : plan.region_layout) any_choice |= l != Layout::kAny;
-  if (!any_choice) {
+/// The one layout rewrite behind LayoutTransformPass and LayoutSearchPass;
+/// `target` is the policy naming the layout each node runs in.  A graph the
+/// policy leaves as it is is copied; otherwise every op is emitted again
+/// through a builder (shape inference follows the input layouts).
+/// remap[id] holds each old node's value as emitted; realize() converts on
+/// demand for consumers that want another layout, memoizing so one producer
+/// is transformed at most once per target layout.
+Graph RewriteLayouts(const Graph& graph,
+                     const std::function<Layout(const Node&)>& target,
+                     PassStats* stats) {
+  bool any_change = false;
+  for (const Node& n : graph.nodes()) {
+    any_change |= n.out_desc.rank() == 4 &&
+                  IsActivationLayout(n.out_desc.layout) &&
+                  target(n) != n.out_desc.layout;
+  }
+  if (!any_change) {
     Rebuild rb(graph);
     for (const Node& n : graph.nodes()) rb.Copy(n);
     return rb.Finish();
   }
-  if (stats != nullptr) {
-    stats->layout_transforms_elided += plan.elided_transforms;
-  }
 
-  // Re-issue every op through a builder (shape inference follows the input
-  // layouts automatically). remap[id] holds each old node's value in its
-  // *chosen* layout; realize() converts on demand for consumers that want
-  // a different one, memoizing so one producer is transformed at most once
-  // per target layout.
   GraphBuilder b(graph.nodes().empty() ? DType::kFloat16
                                        : graph.nodes()[0].out_desc.dtype,
                  Layout::kNHWC);
@@ -288,23 +192,13 @@ Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
   std::vector<Layout> emitted(graph.num_nodes(), Layout::kAny);
   std::map<std::pair<NodeId, Layout>, NodeId> realized;
 
-  auto is_act_layout = [](Layout l) {
-    return l == Layout::kNCHW || l == Layout::kNHWC || l == Layout::kNCHWc;
-  };
-  auto target_of = [&](const Node& n) {
-    const int r = parts.region_of[n.id];
-    if (r >= 0 && plan.region_layout[r] != Layout::kAny) {
-      return plan.region_layout[r];
-    }
-    return n.out_desc.layout;
-  };
   auto realize = [&](NodeId old_id, Layout want) {
     const NodeId base = remap[old_id];
     const Node& p = graph.node(old_id);
     // Only rank-4 activations are re-laid-out; weights and rank-2 values
     // pass through untouched.
-    if (p.out_desc.rank() != 4 || !is_act_layout(want) ||
-        !is_act_layout(emitted[old_id]) || emitted[old_id] == want) {
+    if (p.out_desc.rank() != 4 || !IsActivationLayout(want) ||
+        !IsActivationLayout(emitted[old_id]) || emitted[old_id] == want) {
       return base;
     }
     const auto key = std::make_pair(old_id, want);
@@ -317,9 +211,16 @@ Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
     if (stats != nullptr) ++stats->layout_transforms_inserted;
     return t;
   };
+  // Flatten and Softmax linearize the physical order, so they read their
+  // input in the layout the original graph gave it -- except on a 1x1 map,
+  // whose order is the same in every layout.
+  auto as_original = [&](NodeId old_id) {
+    const TensorDesc& d = graph.node(old_id).out_desc;
+    return IsPointMap(d) ? remap[old_id] : realize(old_id, d.layout);
+  };
 
   for (const Node& n : graph.nodes()) {
-    const Layout want = target_of(n);
+    const Layout want = target(n);
     switch (n.kind) {
       case OpKind::kInput:
         remap[n.id] = b.Input(n.name, n.out_desc.shape, n.out_desc.layout);
@@ -370,17 +271,10 @@ Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
         remap[n.id] = b.GlobalAvgPool(realize(n.inputs[0], want), n.name);
         break;
       case OpKind::kFlatten:
-        // Flatten linearizes the physical order, so its input must be in
-        // the exact layout the original graph flattened.
-        remap[n.id] =
-            b.Flatten(realize(n.inputs[0], graph.node(n.inputs[0])
-                                               .out_desc.layout),
-                      n.name);
+        remap[n.id] = b.Flatten(as_original(n.inputs[0]), n.name);
         break;
       case OpKind::kSoftmax:
-        remap[n.id] = b.Softmax(
-            realize(n.inputs[0], graph.node(n.inputs[0]).out_desc.layout),
-            n.name);
+        remap[n.id] = b.Softmax(as_original(n.inputs[0]), n.name);
         break;
       case OpKind::kLayoutTransform:
         remap[n.id] = b.LayoutTransform(
@@ -394,13 +288,13 @@ Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
                                   n.attrs.GetFloat("eps", 1e-5), n.name);
         break;
       case OpKind::kConcat: {
-        std::vector<NodeId> parts_in;
-        for (NodeId in : n.inputs) parts_in.push_back(realize(in, want));
-        remap[n.id] = b.Concat(parts_in, n.name);
+        std::vector<NodeId> parts;
+        for (NodeId in : n.inputs) parts.push_back(realize(in, want));
+        remap[n.id] = b.Concat(parts, n.name);
         break;
       }
       default:
-        BOLT_CHECK_MSG(false, "LayoutSearchPass must run before fusion; "
+        BOLT_CHECK_MSG(false, "layout passes must run before fusion; "
                               "unexpected op "
                                   << OpKindName(n.kind));
     }
@@ -413,6 +307,34 @@ Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
   auto built = b.Build();
   BOLT_CHECK_MSG(built.ok(), built.status().ToString());
   return std::move(built).value();
+}
+
+}  // namespace
+
+Graph LayoutTransformPass(const Graph& graph, PassStats* stats) {
+  return RewriteLayouts(
+      graph, [](const Node&) { return Layout::kNHWC; }, stats);
+}
+
+Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
+                       PassStats* stats) {
+  const PartitionResult parts = PartitionGraph(
+      graph,
+      [](const Graph& g, const Node& n) { return IsLayoutFlexible(g, n); });
+  const LayoutPlan plan =
+      AssignRegionLayouts(graph, parts, MakeCpuLayoutCostModel(spec));
+  if (stats != nullptr) {
+    stats->layout_transforms_elided += plan.elided_transforms;
+  }
+  return RewriteLayouts(
+      graph,
+      [&](const Node& n) {
+        const int r = parts.region_of[n.id];
+        return r >= 0 && plan.region_layout[r] != Layout::kAny
+                   ? plan.region_layout[r]
+                   : n.out_desc.layout;
+      },
+      stats);
 }
 
 Graph FoldBatchNormPass(const Graph& graph, PassStats* stats) {

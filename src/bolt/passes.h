@@ -5,7 +5,9 @@
 //
 //  1. LayoutTransformPass  — rewrite NCHW models to NHWC (CUTLASS's conv
 //     layout), leaving explicit transform nodes at the graph boundary that
-//     the code generator folds into the first/last kernels.
+//     the code generator folds into the first/last kernels.  It and
+//     LayoutSearchPass are one layout rewrite under two policies: "every
+//     rank-4 activation in NHWC" and "the searched region layout".
 //  2. EpilogueFusionPass   — fold BiasAdd / activation / residual-add
 //     chains after conv2d/dense anchors into bolt.* composite ops carrying
 //     a declarative EpilogueSpec.
@@ -38,9 +40,12 @@ struct PassStats {
   int batchnorms_folded = 0;
 };
 
-/// Rewrite all rank-4 activations from NCHW to NHWC, inserting boundary
-/// kLayoutTransform nodes after NCHW inputs and before NCHW outputs.
-/// Non-4D graphs pass through unchanged.
+/// Rewrite every rank-4 activation to NHWC.  A value is transformed where
+/// its first consumer needs another layout (NCHW / NCHWc inputs before
+/// the first conv), and graph outputs return to their original layout.
+/// Flatten and Softmax read the layout the model gave them, except on a
+/// 1x1 map, whose element order is the same in every layout.  Non-4D
+/// graphs pass through unchanged.
 Graph LayoutTransformPass(const Graph& graph, PassStats* stats = nullptr);
 
 /// ALT-style joint layout search: partitions the primitive-op graph into
@@ -49,8 +54,10 @@ Graph LayoutTransformPass(const Graph& graph, PassStats* stats = nullptr);
 /// layout model, rewrites region ops to the chosen layout, and inserts
 /// boundary kLayoutTransform nodes only where adjacent partitions
 /// disagree — agreeing boundaries elide the transform (counted in
-/// PassStats::layout_transforms_elided). Graph outputs keep their original
-/// layout. Must run before fusion, like LayoutTransformPass.
+/// PassStats::layout_transforms_elided). Nodes outside a region keep their
+/// own layout; the rewrite is LayoutTransformPass's with that policy.
+/// Graph outputs keep their original layout. Must run before fusion, like
+/// LayoutTransformPass.
 Graph LayoutSearchPass(const Graph& graph, const DeviceSpec& spec,
                        PassStats* stats = nullptr);
 

@@ -31,9 +31,8 @@ struct Request {
   /// Monotonic id assigned at submission (diagnostics / tracing).
   int64_t id = 0;
   /// Queue-arrival timestamp on the serving Clock, microseconds.  Set by
-  /// RequestQueue::Push / FairScheduler::Push; the batcher's max-wait
-  /// deadline and the serve.request.latency_us histogram are measured
-  /// from here.
+  /// FairScheduler::Push; the batcher's max-wait deadline and the
+  /// serve.request.latency_us histogram are measured from here.
   double enqueue_us = 0.0;
   /// Absolute response deadline on the serving Clock (infinity = no
   /// SLO).  Set by Server::Submit from the model's / request's SLO; the

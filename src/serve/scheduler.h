@@ -3,9 +3,9 @@
 //
 // SLO-aware fair scheduling for the serving layer (docs/SERVING.md).
 //
-// The single FIFO RequestQueue let one hot tenant head-of-line-block
-// every other model.  FairScheduler replaces it with a per-model queue
-// set behind deficit-round-robin (DRR): each registered model owns a
+// One shared FIFO would let a hot tenant head-of-line-block every other
+// model, so FairScheduler keeps a per-model queue set behind
+// deficit-round-robin (DRR): each registered model owns a
 // FIFO deque and a row-denominated deficit counter; models take turns,
 // each turn banking `quantum_rows x weight` rows of credit and serving
 // coalesced batches while the credit lasts.  A backlogged model's

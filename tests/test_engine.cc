@@ -12,6 +12,7 @@
 #include "common/strings.h"
 #include "cpukernels/cpuinfo.h"
 #include "ir/interpreter.h"
+#include "models/zoo.h"
 #include "testing/diff_harness.h"
 
 namespace bolt {
@@ -131,6 +132,64 @@ TEST(EngineTest, DisablingFusionStillMatchesInterpreter) {
   auto ref = Interpreter(LayoutTransformPass(g)).Run(inputs);
   ASSERT_TRUE(ref.ok());
   EXPECT_LE(out.value()[0].MaxAbsDiff(ref.value()[0]), 5e-3f);
+}
+
+TEST(EngineTest, FlattenOfAnNchwMapMatchesReference) {
+  // NCHW 1x1 conv on a 3x3 map -> Flatten -> Dense: the model flattens
+  // NCHW data, so Compile must hand the flatten NCHW data too.
+  Rng rng(21);
+  auto weight = [&rng](std::vector<int64_t> shape) {
+    Tensor t(TensorDesc(DType::kFloat32, std::move(shape)));
+    rng.FillNormal(t.data(), 0.3f);
+    return t;
+  };
+  GraphBuilder b(DType::kFloat32, Layout::kNCHW);
+  NodeId x = b.Input("data", {1, 8, 3, 3}, Layout::kNCHW);
+  NodeId y = b.Conv2d(x, b.Constant("w", weight({8, 1, 1, 8})),
+                      Conv2dAttrs{}, "conv");
+  y = b.Dense(b.Flatten(y), b.Constant("fc_w", weight({10, 72})), "fc");
+  b.MarkOutput(y);
+  const Graph g = b.Build().value();
+
+  auto engine = Engine::Compile(g, CompileOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::map<std::string, Tensor> in = {
+      {"data", difftest::RandomTensor(g.node(g.input_ids()[0]).out_desc, 5)}};
+  auto got = engine->Run(in);
+  auto want = RefExecutor(g).Run(in);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(difftest::CheckDiff(
+      "engine_flatten", (*got)[0], (*want)[0],
+      difftest::ToleranceFor(
+          cpukernels::ResolveCpuIsa(cpukernels::CpuIsa::kAuto),
+          DType::kFloat32)));
+}
+
+TEST(EngineTest, NchwResNetHasOneBoundaryTransform) {
+  // The only transform is the input's: the head flattens a 1x1 map, whose
+  // element order is the same in NCHW and NHWC, so none is needed there.
+  models::ModelOptions o;
+  o.batch = 1;
+  o.image_size = 32;
+  o.num_classes = 10;
+  auto g = models::BuildResNetWithBatchNorm(18, o);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  auto engine = Engine::Compile(*g, CompileOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->tuning_report().pass_stats.layout_transforms_inserted, 1);
+  const Graph& opt = engine->optimized_graph();
+  int transforms = 0, convs = 0;
+  for (const Node& n : opt.nodes()) {
+    transforms += n.kind == OpKind::kLayoutTransform;
+    if (n.kind == OpKind::kBoltConv2d) {
+      ++convs;
+      EXPECT_EQ(opt.node(n.inputs[0]).out_desc.layout, Layout::kNHWC)
+          << n.name;
+    }
+  }
+  EXPECT_EQ(transforms, 1);
+  EXPECT_GT(convs, 0);
 }
 
 TEST(EngineTest, GeneratesCutlassConventionSources) {

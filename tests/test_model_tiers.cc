@@ -6,9 +6,10 @@
 // the process resolves by default (docs/CPU_BACKEND.md).
 //
 //  * Engine::Compile at default options + Run on small zoo models
-//    (ResNet-18/50 with BatchNorm, RepVGG-A0, VGG-11) built in NCHW and
-//    NHWC, FP16 and FP32, and on a BERT-GEMM graph, against RefExecutor
-//    on the input graph under the whole-model bound (CheckModelDiff).
+//    (ResNet-18/50 with BatchNorm, RepVGG-A0, VGG-11) built in NCHW,
+//    NHWC and NCHWc, FP16 and FP32, and on a BERT-GEMM graph, against
+//    RefExecutor on the input graph under the whole-model bound
+//    (CheckModelDiff).
 //  * The same graphs through the fast Interpreter — as built, and after
 //    LayoutSearchPass, which moves block-aligned regions to NCHWc —
 //    against RefExecutor under the per-op tier (ToleranceFor of
@@ -100,8 +101,9 @@ struct ZooCase {
   DType dtype;
 };
 
-// Every model in the zoo's default NCHW/FP16 form, NHWC builds, and FP32
-// builds (where the SIMD rungs really round differently from scalar).
+// Every model in the zoo's default NCHW/FP16 form, NHWC and NCHWc builds,
+// and FP32 builds (where the SIMD rungs really round differently from
+// scalar).
 constexpr ZooCase kZooCases[] = {
     {"resnet18", Layout::kNCHW, DType::kFloat16},
     {"resnet50", Layout::kNCHW, DType::kFloat16},
@@ -111,6 +113,8 @@ constexpr ZooCase kZooCases[] = {
     {"repvgg_a0", Layout::kNHWC, DType::kFloat16},
     {"resnet50", Layout::kNHWC, DType::kFloat32},
     {"repvgg_a0", Layout::kNCHW, DType::kFloat32},
+    {"resnet18", Layout::kNCHWc, DType::kFloat16},
+    {"resnet18", Layout::kNCHWc, DType::kFloat32},
 };
 
 Result<Graph> BuildZooModel(const ZooCase& c) {
@@ -121,6 +125,8 @@ Result<Graph> BuildZooModel(const ZooCase& c) {
   o.dtype = c.dtype;
   o.layout = c.layout;
   o.materialize_weights = true;
+  // NCHWc needs the channel count to be a multiple of the block width.
+  if (c.layout == Layout::kNCHWc) o.in_channels = kNCHWcBlock;
   const std::string name = c.name;
   if (name == "resnet18") return models::BuildResNetWithBatchNorm(18, o);
   if (name == "resnet50") return models::BuildResNetWithBatchNorm(50, o);

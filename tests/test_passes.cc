@@ -5,7 +5,9 @@
 
 #include "bolt/passes.h"
 #include "common/rng.h"
+#include "cpukernels/cpuinfo.h"
 #include "ir/interpreter.h"
+#include "testing/diff_harness.h"
 
 namespace bolt {
 namespace {
@@ -88,6 +90,63 @@ TEST(LayoutTransformPassTest, NhwcGraphPassesThrough) {
   Graph out = LayoutTransformPass(*g, &stats);
   EXPECT_EQ(stats.layout_transforms_inserted, 0);
   EXPECT_EQ(out.num_nodes(), g->num_nodes());
+}
+
+/// NCHW 1x1 conv on a 3x3 map -> Flatten -> Dense.  The model flattens
+/// NCHW data, so the rewritten graph must flatten in NCHW order too.
+Graph BuildConvFlattenDense() {
+  Rng rng(21);
+  auto weight = [&rng](std::vector<int64_t> shape) {
+    Tensor t(TensorDesc(DType::kFloat32, std::move(shape)));
+    rng.FillNormal(t.data(), 0.3f);
+    return t;
+  };
+  GraphBuilder b(DType::kFloat32, Layout::kNCHW);
+  NodeId x = b.Input("data", {1, 8, 3, 3}, Layout::kNCHW);
+  NodeId y = b.Conv2d(x, b.Constant("w", weight({8, 1, 1, 8})),
+                      Conv2dAttrs{}, "conv");
+  y = b.Flatten(y);
+  y = b.Dense(y, b.Constant("fc_w", weight({10, 72})), "fc");
+  b.MarkOutput(y);
+  return b.Build().value();
+}
+
+TEST(LayoutTransformPassTest, FlattenReadsTheModelsLayout) {
+  const Graph g = BuildConvFlattenDense();
+  PassStats stats;
+  const Graph nhwc = LayoutTransformPass(g, &stats);
+  // Into NHWC for the conv, and back to NCHW for the flatten.
+  EXPECT_EQ(stats.layout_transforms_inserted, 2);
+  const std::map<std::string, Tensor> in = {
+      {"data", difftest::RandomTensor(g.node(g.input_ids()[0]).out_desc, 5)}};
+  auto want = RefExecutor(g).Run(in);
+  auto got = Interpreter(nhwc).Run(in);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(difftest::CheckDiff(
+      "layout_flatten", (*got)[0], (*want)[0],
+      difftest::ToleranceFor(
+          cpukernels::ResolveCpuIsa(cpukernels::CpuIsa::kAuto),
+          DType::kFloat32)));
+}
+
+TEST(LayoutTransformPassTest, NchwcInputIsConvertedForTheConv) {
+  GraphBuilder b(DType::kFloat16, Layout::kNCHWc);
+  NodeId x = b.Input("x", {1, 8, 6, 6}, Layout::kNCHWc);
+  NodeId y = b.Conv2d(x, b.Constant("w", RandomWeight({8, 1, 1, 8}, 7)),
+                      Conv2dAttrs{}, "conv");
+  b.MarkOutput(b.Activation(y, ActivationKind::kRelu));
+  const Graph g = b.Build().value();
+  PassStats stats;
+  const Graph nhwc = LayoutTransformPass(g, &stats);
+  EXPECT_EQ(stats.layout_transforms_inserted, 2);
+  for (const Node& n : nhwc.nodes()) {
+    if (n.kind == OpKind::kConv2d) {
+      EXPECT_EQ(nhwc.node(n.inputs[0]).out_desc.layout, Layout::kNHWC);
+    }
+  }
+  EXPECT_EQ(nhwc.node(nhwc.output_ids()[0]).out_desc.layout,
+            Layout::kNCHWc);
 }
 
 TEST(EpilogueFusionPassTest, FoldsBiasAndActivation) {

@@ -2,11 +2,11 @@
 // SPDX-License-Identifier: Apache-2.0
 //
 // Tests for the dynamic-batching serving layer (docs/SERVING.md): bucket
-// policy, request-queue coalescing and deadlines, the LRU engine
-// registry's eviction and single-flight compilation, batched execution
-// vs per-request execution (bit-for-bit on the same engine), the
-// two-tier contract vs the reference interpreter, and multi-threaded
-// serving (the tsan target).
+// policy, the LRU engine registry's eviction and single-flight
+// compilation, batched execution vs per-request execution (bit-for-bit
+// on the same engine), the two-tier contract vs the reference
+// interpreter, and multi-threaded serving (the tsan target).  Batch
+// formation is pinned in test_serve_sched.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +25,9 @@
 #include "cpukernels/tuned.h"
 #include "ir/interpreter.h"
 #include "serve/bucketing.h"
-#include "serve/queue.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "testing/diff_harness.h"
-#include "testing/fake_clock.h"
 
 namespace bolt {
 namespace serve {
@@ -81,20 +79,6 @@ ModelSpec MlpSpec(const std::string& name, std::vector<int64_t> buckets,
   return spec;
 }
 
-Request MakeRequest(const std::string& model, int64_t rows,
-                    uint64_t seed = 7) {
-  Request r;
-  r.model = model;
-  r.input = MlpInput(rows, seed);
-  return r;
-}
-
-int64_t BatchRows(const std::vector<Request>& batch) {
-  int64_t rows = 0;
-  for (const Request& r : batch) rows += r.rows();
-  return rows;
-}
-
 // ---------------------------------------------------------------------
 // BucketPolicy
 // ---------------------------------------------------------------------
@@ -135,141 +119,6 @@ TEST(BucketPolicyTest, FromTunedGemmRoundsOntoTunedBatchSizes) {
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(fallback->buckets(), (std::vector<int64_t>{1, 2}));
   cpukernels::ClearTunedBlocks();
-}
-
-// ---------------------------------------------------------------------
-// RequestQueue
-// ---------------------------------------------------------------------
-
-constexpr int64_t kNoWait = 0;
-
-int64_t CapEight(const std::string&) { return 8; }
-
-TEST(RequestQueueTest, CoalescesSameModelRunsInFifoOrder) {
-  RequestQueue q(16);
-  for (auto [model, rows] :
-       std::vector<std::pair<std::string, int64_t>>{
-           {"a", 2}, {"a", 2}, {"b", 1}, {"a", 4}}) {
-    Request r = MakeRequest(model, rows);
-    ASSERT_TRUE(q.Push(r));
-  }
-  std::vector<Request> batch = q.NextBatch(CapEight, kNoWait);
-  ASSERT_EQ(batch.size(), 3u);
-  for (const Request& r : batch) EXPECT_EQ(r.model, "a");
-  EXPECT_EQ(BatchRows(batch), 8);
-  EXPECT_EQ(q.size(), 1u);  // "b" remains
-
-  batch = q.NextBatch(CapEight, kNoWait);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].model, "b");
-}
-
-TEST(RequestQueueTest, NeverSplitsARequestAcrossBatches) {
-  RequestQueue q(16);
-  Request a = MakeRequest("m", 3), b = MakeRequest("m", 3);
-  ASSERT_TRUE(q.Push(a));
-  ASSERT_TRUE(q.Push(b));
-  const auto cap4 = [](const std::string&) -> int64_t { return 4; };
-  std::vector<Request> first = q.NextBatch(cap4, kNoWait);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].rows(), 3);
-  std::vector<Request> second = q.NextBatch(cap4, kNoWait);
-  ASSERT_EQ(second.size(), 1u);
-}
-
-TEST(RequestQueueTest, OversizedFrontRequestIsTakenAlone) {
-  RequestQueue q(16);
-  Request r = MakeRequest("m", 5);
-  ASSERT_TRUE(q.Push(r));
-  const auto cap2 = [](const std::string&) -> int64_t { return 2; };
-  std::vector<Request> batch = q.NextBatch(cap2, kNoWait);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].rows(), 5);
-}
-
-TEST(RequestQueueTest, DeadlineFlushesPartialBatch) {
-  bolt::testing::FakeClock clock(/*start_us=*/0.0, /*auto_advance=*/true);
-  RequestQueue q(16, &clock);
-  Request r = MakeRequest("m", 1);
-  ASSERT_TRUE(q.Push(r));
-  std::vector<Request> batch = q.NextBatch(CapEight, /*max_wait_us=*/20000);
-  ASSERT_EQ(batch.size(), 1u);
-  // Flushed exactly at the straggler deadline (enqueue + max_wait), not
-  // hung waiting for a full bucket: auto-advance jumped the fake clock
-  // to the moment the dispatch decision fired.
-  EXPECT_EQ(clock.NowUs(), 20000.0);
-}
-
-TEST(RequestQueueTest, FullBucketExecutesBeforeDeadline) {
-  bolt::testing::FakeClock clock;
-  RequestQueue q(16, &clock);
-  Request first = MakeRequest("m", 1), second = MakeRequest("m", 1);
-  ASSERT_TRUE(q.Push(first));
-  ASSERT_TRUE(q.Push(second));
-  const auto cap2 = [](const std::string&) -> int64_t { return 2; };
-  // Deadline far out: return must be triggered by the bucket filling,
-  // without consulting the clock at all (it never advances).
-  std::vector<Request> batch =
-      q.NextBatch(cap2, /*max_wait_us=*/60 * 1000 * 1000);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(clock.NowUs(), 0.0);
-}
-
-TEST(RequestQueueTest, StragglerWaitUsesFrontDeadlineAfterCoalescing) {
-  // Pin the deadline-latch semantics: the straggler wait runs out at
-  // front.enqueue + max_wait even when a later same-model arrival
-  // coalesces into the batch mid-wait.  If NextBatch wrongly re-derived
-  // the deadline from the newest arrival, the flush would move to
-  // t=1600 and the consumer would hang at t=1000 (caught by the escape
-  // hatch below).
-  bolt::testing::FakeClock clock;
-  RequestQueue q(16, &clock);
-  Request front = MakeRequest("m", 1);
-  ASSERT_TRUE(q.Push(front));  // enqueued at t=0, deadline t=1000
-
-  auto consumer = std::async(std::launch::async, [&q] {
-    return q.NextBatch(CapEight, /*max_wait_us=*/1000);
-  });
-  clock.Advance(600);
-  Request straggler = MakeRequest("m", 1);
-  ASSERT_TRUE(q.Push(straggler));  // enqueued at t=600, coalesces
-  clock.Advance(400);              // t=1000: the *front* deadline fires
-
-  // Escape hatch only — the flush decision is asserted via the fake
-  // clock, never wall time.
-  if (consumer.wait_for(std::chrono::seconds(30)) !=
-      std::future_status::ready) {
-    q.Shutdown();  // unblock the consumer so the test fails, not hangs
-    FAIL() << "NextBatch did not flush at the front request's deadline";
-  }
-  std::vector<Request> batch = consumer.get();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(BatchRows(batch), 2);
-  EXPECT_EQ(clock.NowUs(), 1000.0);
-}
-
-TEST(RequestQueueTest, ShutdownDrainsThenReturnsEmpty) {
-  RequestQueue q(16);
-  Request a = MakeRequest("m", 1), b = MakeRequest("m", 1);
-  ASSERT_TRUE(q.Push(a));
-  ASSERT_TRUE(q.Push(b));
-  q.Shutdown();
-  Request late = MakeRequest("m", 1);
-  EXPECT_FALSE(q.Push(late));
-  EXPECT_FALSE(q.TryPush(late));
-  std::vector<Request> batch = q.NextBatch(CapEight, kNoWait);
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_TRUE(q.NextBatch(CapEight, kNoWait).empty());
-}
-
-TEST(RequestQueueTest, TryPushShedsWhenFull) {
-  RequestQueue q(2);
-  Request a = MakeRequest("m", 1), b = MakeRequest("m", 1),
-          c = MakeRequest("m", 1);
-  EXPECT_TRUE(q.TryPush(a));
-  EXPECT_TRUE(q.TryPush(b));
-  EXPECT_FALSE(q.TryPush(c));
-  EXPECT_EQ(q.size(), 2u);
 }
 
 // ---------------------------------------------------------------------
