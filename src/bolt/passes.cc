@@ -185,9 +185,9 @@ Graph RewriteLayouts(const Graph& graph,
     return rb.Finish();
   }
 
-  GraphBuilder b(graph.nodes().empty() ? DType::kFloat16
-                                       : graph.nodes()[0].out_desc.dtype,
-                 Layout::kNHWC);
+  // Every node is re-issued with its own descriptor (inputs included), so
+  // the builder's default dtype and layout are never consulted.
+  GraphBuilder b;
   std::vector<NodeId> remap(graph.num_nodes(), -1);
   std::vector<Layout> emitted(graph.num_nodes(), Layout::kAny);
   std::map<std::pair<NodeId, Layout>, NodeId> realized;
@@ -223,7 +223,7 @@ Graph RewriteLayouts(const Graph& graph,
     const Layout want = target(n);
     switch (n.kind) {
       case OpKind::kInput:
-        remap[n.id] = b.Input(n.name, n.out_desc.shape, n.out_desc.layout);
+        remap[n.id] = b.Input(n.name, n.out_desc);
         break;
       case OpKind::kConstant:
         remap[n.id] = graph.is_constant(n.id)

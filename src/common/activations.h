@@ -5,12 +5,23 @@
 // epilogue functors, and the training substrate.  The set matches the
 // activations studied in the paper (Section 3.3 / Table 4): ReLU, GELU,
 // Hardswish, Softplus, plus Sigmoid and Identity for completeness.
+//
+// GELU and Sigmoid do not call libm: they go through ExpPortable, the
+// project's own expf in IEEE basic operations (common/exp_constants.h).
+// The AVX2 fused epilogue (cpukernels/pack_simd.cc) mirrors it lane for
+// lane, so both activations stay bit-identical between the scalar chain
+// and the vector epilogue on every host.  Softplus still uses
+// std::log1p/std::exp and keeps the scalar epilogue; ActivationGrad is
+// the libm tanh/exp form.
 
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 
+#include "common/exp_constants.h"
 #include "common/status.h"
 
 namespace bolt {
@@ -52,6 +63,33 @@ inline Result<ActivationKind> ActivationFromName(const std::string& name) {
   return Status::InvalidArgument("unknown activation: " + name);
 }
 
+/// exp(x) in IEEE basic operations, the algorithm documented in
+/// common/exp_constants.h.  Within 2 ULP of exp on [-87, 88]; below -87
+/// it saturates at exp(-87) (about 1.6e-38), above 88.376 it is +inf, and
+/// NaN maps to itself.  The float-to-bits step runs after the clamp and
+/// needs no float-to-int conversion, so no input is undefined behaviour.
+inline float ExpPortable(float x) {
+  using namespace expconst;
+  if (std::isnan(x)) return x;
+  const float xc = x < kExpLo ? kExpLo : (x > kExpHi ? kExpHi : x);
+  const float t = xc * kExpLog2e + kExpShift;
+  const float n = t - kExpShift;
+  const float r = (xc - n * kExpLn2Hi) - n * kExpLn2Lo;
+  float p = kExpC6;
+  p = p * r + kExpC5;
+  p = p * r + kExpC4;
+  p = p * r + kExpC3;
+  p = p * r + kExpC2;
+  p = p * r + kExpC1;
+  p = p * r + 1.0f;
+  uint32_t tbits;
+  std::memcpy(&tbits, &t, sizeof(tbits));
+  const uint32_t sbits = (tbits - kExpShiftBits + 127u) << 23;
+  float scale;
+  std::memcpy(&scale, &sbits, sizeof(scale));
+  return p * scale;
+}
+
 /// Apply the activation to a scalar.
 inline float ApplyActivation(ActivationKind k, float x) {
   switch (k) {
@@ -60,10 +98,12 @@ inline float ApplyActivation(ActivationKind k, float x) {
     case ActivationKind::kRelu:
       return x > 0.0f ? x : 0.0f;
     case ActivationKind::kGelu: {
-      // tanh approximation, as used by CUTLASS's GELU_taylor epilogue.
-      const float kAlpha = 0.7978845608028654f;  // sqrt(2/pi)
-      const float inner = kAlpha * (x + 0.044715f * x * x * x);
-      return 0.5f * x * (1.0f + std::tanh(inner));
+      // tanh approximation, as used by CUTLASS's GELU_taylor epilogue:
+      // 0.5 x (1 + tanh(u)) == x / (1 + exp(-2u)), which has no
+      // cancellation in the negative tail.
+      const float inner =
+          expconst::kGeluAlpha * (x + expconst::kGeluBeta * x * x * x);
+      return x / (1.0f + ExpPortable(-2.0f * inner));
     }
     case ActivationKind::kHardswish: {
       const float r = x + 3.0f;
@@ -74,7 +114,7 @@ inline float ApplyActivation(ActivationKind k, float x) {
       // Numerically stable log(1 + exp(x)).
       return x > 20.0f ? x : std::log1p(std::exp(x));
     case ActivationKind::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-x));
+      return 1.0f / (1.0f + ExpPortable(-x));
   }
   return x;
 }

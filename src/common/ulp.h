@@ -74,6 +74,20 @@ inline constexpr int64_t kSimdMaxUlpsFloat32 = 32;
 inline constexpr int64_t kSimdMaxUlpsFloat16 = 4;
 inline constexpr float kSimdUlpAbsEscape = 1e-5f;
 
+/// Magnitude-aware bound for an FP32 GEMM element computed by two tiers.
+/// Any accumulation order of a length-k FP32 dot product, with or
+/// without FMA, lies within gamma_k * sum_p |a_p| |b_p| of the exact value
+/// (gamma_k = k u / (1 - k u), u = 2^-24; Higham, "Accuracy and Stability
+/// of Numerical Algorithms", eq. 3.5), so two tiers differ by at most
+/// twice that.  Unlike the per-element ULP bound above it holds at any K
+/// and near cancellation, where the result is tiny next to the terms.
+/// `abs_dot` is sum_p |a_p| |b_p| for the element (the alpha/beta/bias
+/// epilogue is not included).
+inline double Fp32GemmTierBound(int64_t k, double abs_dot) {
+  const double ku = static_cast<double>(k) * 0x1p-24;
+  return 2.0 * ku / (1.0 - ku) * abs_dot;
+}
+
 /// The whole-model bound (docs/CPU_BACKEND.md, "Whole models"): an
 /// Engine::Run output agrees with RefExecutor on the input graph within
 /// this many ULPs *of the output's largest reference magnitude*, on the

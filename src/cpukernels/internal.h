@@ -140,8 +140,8 @@ struct LaunchPlan {
 };
 
 /// Translates an ActivationKind to its EpilogueRowSimd opcode, or -1 for
-/// the transcendental activations the vector epilogue does not mirror
-/// exactly (those launches keep the scalar epilogue loop).
+/// Softplus, which the vector epilogue does not mirror (it needs log1p;
+/// those launches keep the scalar epilogue loop).
 inline int EpiActOpcode(ActivationKind a) {
   switch (a) {
     case ActivationKind::kIdentity:
@@ -150,6 +150,10 @@ inline int EpiActOpcode(ActivationKind a) {
       return kEpiActRelu;
     case ActivationKind::kHardswish:
       return kEpiActHardswish;
+    case ActivationKind::kGelu:
+      return kEpiActGelu;
+    case ActivationKind::kSigmoid:
+      return kEpiActSigmoid;
     default:
       return -1;
   }

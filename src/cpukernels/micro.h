@@ -84,11 +84,14 @@ void PackA4RunSimd(const float* const rows[4], int64_t len, int64_t stride,
 // Activation opcodes for EpilogueRowSimd.  pack_simd.cc cannot include
 // common/activations.h (ODR/ISA hazard above), so the vectorizable subset
 // is mirrored here; internal.h translates ActivationKind to these and
-// falls back to the scalar epilogue for anything unmappable (the
-// transcendental activations).
+// falls back to the scalar epilogue for anything unmappable (Softplus,
+// which needs log1p).  GELU and Sigmoid mirror ExpPortable's operations
+// in order (constants in common/exp_constants.h).
 inline constexpr int kEpiActIdentity = 0;
 inline constexpr int kEpiActRelu = 1;
 inline constexpr int kEpiActHardswish = 2;
+inline constexpr int kEpiActGelu = 3;
+inline constexpr int kEpiActSigmoid = 4;
 
 /// Applies the fused epilogue to one contiguous output row of `count`
 /// elements: acc is the FP32 accumulator row, out the destination row,

@@ -12,16 +12,27 @@
 // ApplyEpilogue chain (epilogue.h) — the SIMD tiers' ULP budget is spent
 // entirely in the micro-kernel's FMA, never in data movement.
 //
-// Like micro_avx2.cc, this TU includes only micro.h (the ODR/ISA hazard
-// described there): no shared inline function may be emitted with AVX2
-// codegen.  The scalar fallback branch below keeps the symbols linkable
-// on toolchains without AVX2/F16C; SimdPackAvailable() reports false
-// there and the driver never dispatches to them.
+// GELU and Sigmoid run ExpPortable (common/activations.h) in vector form:
+// the same clamp, shift-rounding, Cody-Waite reduction, Horner polynomial
+// and exponent-bit scale, operation for operation, so they too match the
+// scalar chain bit for bit.
+//
+// Like micro_avx2.cc, this TU includes only micro.h and the constants-only
+// common/exp_constants.h (the ODR/ISA hazard described in micro.h): no
+// shared inline function may be emitted with AVX2 codegen.  The scalar
+// fallback branch below keeps the symbols linkable on toolchains without
+// AVX2/F16C; SimdPackAvailable() reports false there and the driver never
+// dispatches to them.
 
+#include "common/exp_constants.h"
 #include "cpukernels/micro.h"
 
 #if defined(__AVX2__) && defined(__F16C__)
 #include <immintrin.h>
+#else
+// Without AVX2/F16C this TU is built at the baseline ISA, so the scalar
+// stand-ins may share the activation code.
+#include "common/activations.h"
 #endif
 
 namespace bolt {
@@ -115,6 +126,37 @@ inline __m256 QuantizeFp16(__m256 v) {
       _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
 }
 
+/// ExpPortable (common/activations.h), eight lanes at a time.  max/min
+/// would turn a NaN into a clamp bound, so NaN lanes are blended back in
+/// at the end: the scalar form returns a NaN argument unchanged.
+inline __m256 ExpVec(__m256 x) {
+  using namespace expconst;
+  const __m256 xc = _mm256_min_ps(
+      _mm256_max_ps(x, _mm256_set1_ps(kExpLo)), _mm256_set1_ps(kExpHi));
+  const __m256 shift = _mm256_set1_ps(kExpShift);
+  const __m256 t =
+      _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(kExpLog2e)), shift);
+  const __m256 n = _mm256_sub_ps(t, shift);
+  const __m256 r = _mm256_sub_ps(
+      _mm256_sub_ps(xc, _mm256_mul_ps(n, _mm256_set1_ps(kExpLn2Hi))),
+      _mm256_mul_ps(n, _mm256_set1_ps(kExpLn2Lo)));
+  __m256 p = _mm256_set1_ps(kExpC6);
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpC5));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpC4));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpC3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpC2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpC1));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.0f));
+  const __m256i sbits = _mm256_slli_epi32(
+      _mm256_add_epi32(
+          _mm256_sub_epi32(_mm256_castps_si256(t),
+                           _mm256_set1_epi32(static_cast<int>(kExpShiftBits))),
+          _mm256_set1_epi32(127)),
+      23);
+  const __m256 e = _mm256_mul_ps(p, _mm256_castsi256_ps(sbits));
+  return _mm256_blendv_ps(e, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
 inline __m256 ActVec(int op, __m256 v) {
   switch (op) {
     case kEpiActRelu:
@@ -130,6 +172,26 @@ inline __m256 ActVec(int op, __m256 v) {
           _mm256_max_ps(r, _mm256_setzero_ps()), _mm256_set1_ps(6.0f));
       return _mm256_div_ps(_mm256_mul_ps(v, clipped),
                            _mm256_set1_ps(6.0f));
+    }
+    case kEpiActGelu: {
+      // Scalar: inner = alpha * (x + beta * x * x * x);
+      //         x / (1 + ExpPortable(-2 * inner)).
+      const __m256 x3 = _mm256_mul_ps(
+          _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(expconst::kGeluBeta), v),
+                        v),
+          v);
+      const __m256 inner = _mm256_mul_ps(_mm256_set1_ps(expconst::kGeluAlpha),
+                                         _mm256_add_ps(v, x3));
+      const __m256 e =
+          ExpVec(_mm256_mul_ps(_mm256_set1_ps(-2.0f), inner));
+      return _mm256_div_ps(v, _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+    }
+    case kEpiActSigmoid: {
+      // Scalar: 1 / (1 + ExpPortable(-x)); negation is a sign-bit flip.
+      const __m256 e =
+          ExpVec(_mm256_xor_ps(v, _mm256_set1_ps(-0.0f)));
+      return _mm256_div_ps(_mm256_set1_ps(1.0f),
+                           _mm256_add_ps(_mm256_set1_ps(1.0f), e));
     }
     default:
       return v;
@@ -390,12 +452,13 @@ float QuantizeFp16Scalar(float x) {
 float ActScalar(int op, float x) {
   switch (op) {
     case kEpiActRelu:
-      return x > 0.0f ? x : 0.0f;
-    case kEpiActHardswish: {
-      const float r = x + 3.0f;
-      const float clipped = r < 0.0f ? 0.0f : (r > 6.0f ? 6.0f : r);
-      return x * clipped / 6.0f;
-    }
+      return ApplyActivation(ActivationKind::kRelu, x);
+    case kEpiActHardswish:
+      return ApplyActivation(ActivationKind::kHardswish, x);
+    case kEpiActGelu:
+      return ApplyActivation(ActivationKind::kGelu, x);
+    case kEpiActSigmoid:
+      return ApplyActivation(ActivationKind::kSigmoid, x);
     default:
       return x;
   }

@@ -179,8 +179,11 @@ std::string GraphBuilder::AutoName(OpKind kind) {
 
 NodeId GraphBuilder::Input(const std::string& name,
                            std::vector<int64_t> shape, Layout layout) {
-  TensorDesc desc(dtype_, std::move(shape), layout);
-  NodeId id = AddOp(OpKind::kInput, {}, desc, {}, name);
+  return Input(name, TensorDesc(dtype_, std::move(shape), layout));
+}
+
+NodeId GraphBuilder::Input(const std::string& name, TensorDesc desc) {
+  NodeId id = AddOp(OpKind::kInput, {}, std::move(desc), {}, name);
   graph_.AddInput(id);
   return id;
 }

@@ -161,6 +161,9 @@ class GraphBuilder {
   NodeId Input(const std::string& name, std::vector<int64_t> shape,
                Layout layout);
   NodeId Input(const std::string& name, std::vector<int64_t> shape);
+  /// Input with an explicit descriptor (its own dtype, not the builder's
+  /// default); used by passes that re-issue an existing graph's inputs.
+  NodeId Input(const std::string& name, TensorDesc desc);
   NodeId Constant(const std::string& name, Tensor value);
   /// Constant with shape/dtype only, no materialized payload (used for
   /// large model weights when only timing is needed; functional execution

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "common/ulp.h"
 
 namespace bolt {
 namespace {
@@ -180,6 +182,103 @@ TEST(ActivationTest, KnownValues) {
               std::log(2.0f), 1e-6f);
   EXPECT_NEAR(ApplyActivation(ActivationKind::kSigmoid, 0.0f), 0.5f,
               1e-6f);
+}
+
+// Accuracy of the portable activations (ExpPortable, common/activations.h)
+// against the same formulas evaluated in double.  The bounds are the
+// measured maxima with headroom:
+//   * ExpPortable on [-87, 88]: 1 ULP measured, bound 2.
+//   * GELU on [-1, inf): 2 ULP measured, bound 4 (the libm tanh form was 4).
+//   * GELU on [-3, -1): 15 ULP measured, bound 32 (the tanh form was 204).
+//   * GELU below -3: the result is under 4e-3 in magnitude and the exp
+//     argument's rounding is amplified by up to 2|u|, so the bound is
+//     absolute: 3.2e-9 measured, bound 1e-8.  Past x = -10.45 the exp
+//     overflows to +inf and GELU returns -0.
+//   * Sigmoid on [-87, inf): 2 ULP measured, bound 4; below, an absolute
+//     1e-37 (the true value is at most 1.7e-38 there).
+constexpr int64_t kExpPortableMaxUlps = 2;
+constexpr int64_t kGeluMaxUlps = 4;
+constexpr int64_t kGeluTailMaxUlps = 32;
+constexpr double kGeluFarTailAbs = 1e-8;
+constexpr int64_t kSigmoidMaxUlps = 4;
+constexpr double kSigmoidFarTailAbs = 1e-37;
+
+double GeluDouble(float x) {
+  const double u = static_cast<double>(expconst::kGeluAlpha) *
+                   (x + static_cast<double>(expconst::kGeluBeta) * x * x * x);
+  return x / (1.0 + std::exp(-2.0 * u));
+}
+
+double SigmoidDouble(float x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+TEST(ActivationAccuracyTest, ExpPortableWithinTwoUlps) {
+  int64_t worst = 0;
+  for (double xd = -87.0; xd <= 88.0; xd += 1.0 / 4096) {
+    const float x = static_cast<float>(xd);
+    const int64_t d = Float32UlpDiff(
+        ExpPortable(x), static_cast<float>(std::exp(static_cast<double>(x))));
+    worst = std::max(worst, d);
+    ASSERT_LE(d, kExpPortableMaxUlps) << "x=" << x;
+  }
+  EXPECT_GT(worst, 0);  // the sweep exercised real rounding
+  EXPECT_EQ(ExpPortable(0.0f), 1.0f);
+  EXPECT_EQ(ExpPortable(-0.0f), 1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(ExpPortable(-1000.0f), ExpPortable(-87.0f));
+  EXPECT_GT(ExpPortable(-inf), 0.0f);
+  EXPECT_EQ(ExpPortable(88.5f), inf);
+  EXPECT_EQ(ExpPortable(89.0f), inf);
+  EXPECT_EQ(ExpPortable(1000.0f), inf);
+  EXPECT_EQ(ExpPortable(inf), inf);
+  EXPECT_TRUE(std::isnan(
+      ExpPortable(std::numeric_limits<float>::quiet_NaN())));
+}
+
+TEST(ActivationAccuracyTest, GeluMatchesTheDoubleFormula) {
+  for (double xd = -40.0; xd <= 40.0; xd += 1.0 / 1024) {
+    const float x = static_cast<float>(xd);
+    const float got = ApplyActivation(ActivationKind::kGelu, x);
+    const double want = GeluDouble(x);
+    if (x >= -1.0f) {
+      ASSERT_LE(Float32UlpDiff(got, static_cast<float>(want)), kGeluMaxUlps)
+          << "x=" << x;
+    } else if (x >= -3.0f) {
+      ASSERT_LE(Float32UlpDiff(got, static_cast<float>(want)),
+                kGeluTailMaxUlps)
+          << "x=" << x;
+    } else {
+      ASSERT_LE(std::fabs(got - want), kGeluFarTailAbs) << "x=" << x;
+    }
+  }
+  for (const float x : {1e3f, 1e20f, std::numeric_limits<float>::max()}) {
+    EXPECT_EQ(ApplyActivation(ActivationKind::kGelu, x), x);
+    EXPECT_EQ(ApplyActivation(ActivationKind::kGelu, -x), 0.0f);
+  }
+  EXPECT_EQ(ApplyActivation(ActivationKind::kGelu, 0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(ApplyActivation(ActivationKind::kGelu, -0.0f)));
+  EXPECT_TRUE(std::isnan(ApplyActivation(
+      ActivationKind::kGelu, std::numeric_limits<float>::quiet_NaN())));
+}
+
+TEST(ActivationAccuracyTest, SigmoidMatchesTheDoubleFormula) {
+  for (double xd = -100.0; xd <= 100.0; xd += 1.0 / 1024) {
+    const float x = static_cast<float>(xd);
+    const float got = ApplyActivation(ActivationKind::kSigmoid, x);
+    const double want = SigmoidDouble(x);
+    if (x >= -87.0f) {
+      ASSERT_LE(Float32UlpDiff(got, static_cast<float>(want)),
+                kSigmoidMaxUlps)
+          << "x=" << x;
+    } else {
+      ASSERT_LE(std::fabs(got - want), kSigmoidFarTailAbs) << "x=" << x;
+    }
+  }
+  EXPECT_EQ(ApplyActivation(ActivationKind::kSigmoid, 0.0f), 0.5f);
+  EXPECT_EQ(ApplyActivation(ActivationKind::kSigmoid,
+                            std::numeric_limits<float>::infinity()),
+            1.0f);
+  EXPECT_TRUE(std::isnan(ApplyActivation(
+      ActivationKind::kSigmoid, std::numeric_limits<float>::quiet_NaN())));
 }
 
 TEST(StringsTest, ParseDoubleIsStrict) {

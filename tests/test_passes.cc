@@ -149,6 +149,27 @@ TEST(LayoutTransformPassTest, NchwcInputIsConvertedForTheConv) {
             Layout::kNCHWc);
 }
 
+TEST(LayoutTransformPassTest, InputsKeepTheirOwnDtype) {
+  // The first node is an FP32 constant; the FP16 input after it must stay
+  // FP16 when the rewrite re-issues it.
+  GraphBuilder b(DType::kFloat16, Layout::kNCHW);
+  Tensor scale(TensorDesc(DType::kFloat32, {8}));
+  b.Constant("scale", std::move(scale));
+  NodeId x = b.Input("x", {1, 8, 6, 6}, Layout::kNCHW);
+  NodeId y = b.Conv2d(x, b.Constant("w", RandomWeight({8, 1, 1, 8}, 9)),
+                      Conv2dAttrs{}, "conv");
+  b.MarkOutput(y);
+  const Graph g = b.Build().value();
+  ASSERT_EQ(g.nodes()[0].out_desc.dtype, DType::kFloat32);
+  PassStats stats;
+  const Graph nhwc = LayoutTransformPass(g, &stats);
+  ASSERT_GT(stats.layout_transforms_inserted, 0);
+  ASSERT_EQ(nhwc.input_ids().size(), 1u);
+  const Node& in = nhwc.node(nhwc.input_ids()[0]);
+  EXPECT_EQ(in.out_desc.dtype, DType::kFloat16);
+  EXPECT_EQ(in.out_desc.layout, Layout::kNCHW);
+}
+
 TEST(EpilogueFusionPassTest, FoldsBiasAndActivation) {
   Graph g = LayoutTransformPass(BuildConvChain());
   PassStats stats;

@@ -20,7 +20,10 @@
 //  * Packing equality: the vectorized PackB/PackA paths (pack_simd.cc)
 //    produce byte-identical panels to the scalar reference loops across
 //    nr in {8, 16}, remainder tiles, strided gathers, and null rows; the
-//    pack-mode toggle and the prefetch axis never change output bits.
+//    pack-mode toggle and the prefetch axis never change output bits,
+//    including the GELU/Sigmoid vector epilogue, which also matches the
+//    scalar ApplyEpilogue on zeros, infinities, NaN, subnormals and the
+//    exp clamp edges.
 //  * Deterministic remainder-tile tuples: k not a multiple of kc, n/m
 //    tails smaller than one micro-tile — the shapes where zero-padding
 //    bugs in the vector pack paths would surface.
@@ -33,16 +36,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/exp_constants.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "common/ulp.h"
 #include "cpukernels/config.h"
 #include "cpukernels/conv.h"
 #include "cpukernels/cpuinfo.h"
@@ -401,6 +408,42 @@ TEST(SimdDifferentialTest, Avx512TierActuallyDiverges) {
       difftest::ToleranceFor(CpuIsa::kAvx512, DType::kFloat32)));
 }
 
+TEST(SimdDifferentialTest, LargeKFp32StaysWithinTheMagnitudeBound) {
+  // The per-element ULP bound breaks for deep FP32 dot products near
+  // cancellation; Fp32GemmTierBound (common/ulp.h), scaled by K and
+  // sum |a||b|, holds at any K.  Every rung is checked against scalar.
+  for (const int64_t k : {int64_t{64}, int64_t{1000}, int64_t{4096}}) {
+    const int64_t m = 6, n = 19;
+    Tensor a = difftest::RandomTensor(TensorDesc(DType::kFloat32, {m, k}),
+                                      35000 + k);
+    Tensor w = difftest::RandomTensor(TensorDesc(DType::kFloat32, {n, k}),
+                                      36000 + k);
+    cpukernels::Epilogue epi;
+    BlockConfig scalar;
+    scalar.isa = CpuIsa::kScalar;
+    const Tensor s = cpukernels::Gemm(a, w, epi, scalar);
+    for (const CpuIsa isa : {CpuIsa::kAvx2, CpuIsa::kAvx512}) {
+      SCOPED_TRACE(StrCat("k=", k, " isa=", cpukernels::CpuIsaName(isa)));
+      BlockConfig block;
+      block.isa = isa;
+      const Tensor v = cpukernels::Gemm(a, w, epi, block);
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          double abs_dot = 0.0;
+          for (int64_t p = 0; p < k; ++p) {
+            abs_dot += std::fabs(static_cast<double>(a.data()[i * k + p]) *
+                                 w.data()[j * k + p]);
+          }
+          const size_t o = static_cast<size_t>(i * n + j);
+          EXPECT_LE(std::fabs(static_cast<double>(v.data()[o]) - s.data()[o]),
+                    Fp32GemmTierBound(k, abs_dot))
+              << "i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-tier resolve matrix: every requestable tier runs the same workload
 // and is held to its resolved tolerance.  On hosts missing a rung the
@@ -618,41 +661,135 @@ TEST(SimdPackEqualityTest, PackModeToggleIsBitExact) {
   // BOLT_CPU_PACK=scalar (here: the runtime override) must reproduce the
   // vectorized pack/epilogue output exactly — same micro-kernel tier,
   // only the data movement differs, and data movement has no rounding.
+  // GELU and Sigmoid run the vector mirror of ExpPortable in the SIMD
+  // epilogue and the scalar ApplyActivation in the scalar one; N tails
+  // 1..17 cover every masked remainder of the 8-lane epilogue.
   if (cpukernels::ResolveCpuIsa(CpuIsa::kAvx2) != CpuIsa::kAvx2) {
     GTEST_SKIP() << "host or env pins the scalar tier";
   }
   const cpukernels::CpuPackMode prev = cpukernels::CurrentCpuPackMode();
-  const struct {
+  struct Case {
     int64_t m, n, k;
-  } cases[] = {{5, 19, 70}, {32, 33, 65}, {1, 1, 1}, {24, 16, 128}};
-  for (const auto& c : cases) {
-    for (const DType dt : {DType::kFloat32, DType::kFloat16}) {
-      SCOPED_TRACE(StrCat("m=", c.m, " n=", c.n, " k=", c.k, " dt=",
-                          DTypeName(dt)));
-      BlockConfig block;
-      block.isa = CpuIsa::kAvx2;
-      Tensor a = difftest::RandomTensor(TensorDesc(dt, {c.m, c.k}), 51000);
-      Tensor w = difftest::RandomTensor(TensorDesc(dt, {c.n, c.k}), 52000);
-      Tensor bias = difftest::RandomTensor(TensorDesc(dt, {c.n}), 53000);
-      Tensor res = difftest::RandomTensor(TensorDesc(dt, {c.m, c.n}),
-                                          54000);
-      cpukernels::Epilogue epi;
-      epi.output_dtype = dt;
-      epi.boundary_quantize = true;
-      epi.bias = bias.data().data();
-      epi.residual = res.data().data();
-      epi.acts = {ActivationKind::kHardswish};
-      cpukernels::SetCpuPackMode(cpukernels::CpuPackMode::kScalar);
-      Tensor scalar_pack = cpukernels::Gemm(a, w, epi, block);
-      cpukernels::SetCpuPackMode(cpukernels::CpuPackMode::kSimd);
-      Tensor simd_pack = cpukernels::Gemm(a, w, epi, block);
-      EXPECT_EQ(std::memcmp(scalar_pack.data().data(),
-                            simd_pack.data().data(),
-                            scalar_pack.data().size() * sizeof(float)),
-                0);
+  };
+  std::vector<Case> cases = {{5, 19, 70}, {32, 33, 65}, {1, 1, 1},
+                             {24, 16, 128}};
+  for (int64_t n = 1; n <= 17; ++n) cases.push_back({3, n, 40});
+  for (const ActivationKind act :
+       {ActivationKind::kHardswish, ActivationKind::kGelu,
+        ActivationKind::kSigmoid}) {
+    for (const bool boundary : {true, false}) {
+      for (const auto& c : cases) {
+        for (const DType dt : {DType::kFloat32, DType::kFloat16}) {
+          SCOPED_TRACE(StrCat("act=", ActivationName(act), " boundary=",
+                              boundary, " m=", c.m, " n=", c.n, " k=", c.k,
+                              " dt=", DTypeName(dt)));
+          BlockConfig block;
+          block.isa = CpuIsa::kAvx2;
+          Tensor a =
+              difftest::RandomTensor(TensorDesc(dt, {c.m, c.k}), 51000);
+          Tensor w =
+              difftest::RandomTensor(TensorDesc(dt, {c.n, c.k}), 52000);
+          Tensor bias = difftest::RandomTensor(TensorDesc(dt, {c.n}), 53000);
+          Tensor res = difftest::RandomTensor(TensorDesc(dt, {c.m, c.n}),
+                                              54000);
+          cpukernels::Epilogue epi;
+          epi.output_dtype = dt;
+          epi.boundary_quantize = boundary;
+          if (!boundary) {
+            epi.alpha = 1.25f;
+            epi.beta = 0.5f;
+          }
+          epi.bias = bias.data().data();
+          epi.residual = res.data().data();
+          epi.acts = {act};
+          // The SIMD pack mode must really take the vector epilogue.
+          cpukernels::SetCpuPackMode(cpukernels::CpuPackMode::kSimd);
+          EXPECT_EQ(cpukernels::internal::BuildLaunchPlan(
+                        CpuIsa::kAvx2, block, epi, /*contiguous_rows=*/true)
+                        .simd_epi,
+                    cpukernels::internal::SimdPackAvailable() &&
+                        (cpukernels::HostSupportsF16c() || !epi.quantizes()));
+          cpukernels::SetCpuPackMode(cpukernels::CpuPackMode::kScalar);
+          Tensor scalar_pack = cpukernels::Gemm(a, w, epi, block);
+          cpukernels::SetCpuPackMode(cpukernels::CpuPackMode::kSimd);
+          Tensor simd_pack = cpukernels::Gemm(a, w, epi, block);
+          EXPECT_EQ(std::memcmp(scalar_pack.data().data(),
+                                simd_pack.data().data(),
+                                scalar_pack.data().size() * sizeof(float)),
+                    0);
+        }
+      }
     }
   }
   cpukernels::SetCpuPackMode(prev);
+}
+
+TEST(SimdPackEqualityTest, GeluSigmoidEpilogueMatchesScalarOnSpecials) {
+  // EpilogueRowSimd against ApplyEpilogue, element for element, on the
+  // inputs where a vector mirror is most likely to part ways with the
+  // scalar chain: signed zeros, infinities, NaN, subnormals, and values
+  // that put ExpPortable's argument on and beyond its clamp and overflow
+  // edges (-87, 88, 88.376, 89).
+  if (cpukernels::ResolveCpuIsa(CpuIsa::kAvx2) != CpuIsa::kAvx2) {
+    GTEST_SKIP() << "host or env pins the scalar tier";
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  std::vector<float> xs = {0.0f,    -0.0f,    inf,     -inf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           1e-40f,  -1e-40f,  1e-45f,  -1e-45f,
+                           std::numeric_limits<float>::min(),
+                           big,     -big,     1e30f,   -1e30f};
+  // Sigmoid's exp argument is -x; GELU's is -2 * inner(x), which falls
+  // monotonically in x, so bisection finds the x that hits each bound.
+  auto gelu_arg = [](float x) {
+    return -2.0f *
+           (expconst::kGeluAlpha * (x + expconst::kGeluBeta * x * x * x));
+  };
+  for (const float bound : {-89.0f, -88.0f, -87.0f, 87.0f, 88.0f, 88.376f,
+                            89.0f}) {
+    float lo = -30.0f, hi = 30.0f;
+    for (int it = 0; it < 60; ++it) {
+      const float mid = 0.5f * (lo + hi);
+      (gelu_arg(mid) > bound ? lo : hi) = mid;
+    }
+    for (const float x : {lo, hi}) {
+      xs.insert(xs.end(), {std::nextafter(x, -inf), x,
+                           std::nextafter(x, inf), x - 1.0f, x + 1.0f});
+    }
+    xs.insert(xs.end(), {bound, -bound, std::nextafter(bound, inf),
+                         std::nextafter(bound, -inf), bound * 1.5f});
+  }
+  for (float x = -12.0f; x <= 12.0f; x += 0.0625f) xs.push_back(x);
+
+  for (const ActivationKind act :
+       {ActivationKind::kGelu, ActivationKind::kSigmoid}) {
+    for (const DType dt : {DType::kFloat32, DType::kFloat16}) {
+      for (const bool boundary : {true, false}) {
+        SCOPED_TRACE(StrCat("act=", ActivationName(act), " dt=",
+                            DTypeName(dt), " boundary=", boundary));
+        cpukernels::Epilogue epi;
+        epi.output_dtype = dt;
+        epi.boundary_quantize = boundary;
+        epi.acts = {act};
+        const int op = cpukernels::internal::EpiActOpcode(act);
+        std::vector<float> got(xs.size(), -777.0f);
+        cpukernels::internal::EpilogueRowSimd(
+            xs.data(), got.data(), nullptr, nullptr,
+            static_cast<int64_t>(xs.size()), epi.alpha, epi.beta, &op, 1,
+            epi.boundary_quantize, epi.quantizes());
+        for (size_t i = 0; i < xs.size(); ++i) {
+          const float want = cpukernels::ApplyEpilogue(epi, xs[i], 0.0f, 0.0f);
+          if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(got[i])) << "x=" << xs[i];
+            continue;
+          }
+          EXPECT_EQ(std::memcmp(&want, &got[i], sizeof(float)), 0)
+              << "x=" << xs[i] << " scalar=" << want << " simd=" << got[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdPackEqualityTest, NchwcConvPackModeToggleIsBitExact) {
