@@ -1,5 +1,5 @@
-// Google-benchmark microbenchmarks of the functional (host-executed)
-// cutlite kernels and the pass pipeline.  These measure real wall time of
+// Google-benchmark microbenchmarks of cutlite's functional GEMM model and
+// the pass pipeline.  These measure real wall time of
 // this library's own code paths — useful for keeping the simulator fast —
 // as opposed to the simulated device latencies the table benches report.
 
@@ -30,6 +30,8 @@ Tensor RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   return t;
 }
 
+// Times GemmKernel::Run's explicit tiled traversal (the split-K /
+// column-reduction model), not the host kernels the engine executes on.
 void BM_FunctionalGemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   Tensor a = RandomMatrix(n, n, 1);

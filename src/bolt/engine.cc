@@ -18,11 +18,9 @@ using cutlite::B2bConvKernel;
 using cutlite::B2bConvStage;
 using cutlite::B2bGemmKernel;
 using cutlite::B2bStage;
-using cutlite::Conv2dKernel;
 using cutlite::ConvProblem;
 using cutlite::EpilogueSpec;
 using cutlite::GemmCoord;
-using cutlite::GemmKernel;
 
 namespace {
 
@@ -58,6 +56,39 @@ CompositeStages StagesOf(const Graph& g, const Node& n) {
         EpilogueFromAttrs(n.attrs, b2b ? StrCat("s", s, "_") : ""));
   }
   return st;
+}
+
+/// The host launch of bolt.* node `n`: one KernelStep stage per composite
+/// stage, each quantizing once on store at the node's declared precision
+/// (cutlite mode; an FP32 graph must not be quantized through the
+/// EpilogueSpec's FP16 default).  Operands are in node-input order: the
+/// activation, then per stage the weight and (when the epilogue has one)
+/// the bias; a residual comes last.
+KernelStep LowerComposite(const Node& n, const CompositeStages& st) {
+  KernelStep step;
+  step.result = n.id;
+  size_t next = 0;
+  step.activation = n.inputs[next++];
+  for (size_t s = 0; s < st.epilogues.size(); ++s) {
+    const EpilogueSpec& e = st.epilogues[s];
+    KernelStep::Stage& stage = step.stages.emplace_back();
+    stage.weight = n.inputs[next++];
+    if (e.has_bias) stage.bias = n.inputs[next++];
+    if (!st.convs.empty()) {
+      const ConvProblem& p = st.convs[s];
+      stage.kind = KernelStep::Kind::kConv;
+      stage.conv.stride_h = p.stride_h;
+      stage.conv.stride_w = p.stride_w;
+      stage.conv.pad_h = p.pad_h;
+      stage.conv.pad_w = p.pad_w;
+    }
+    stage.epilogue.alpha = e.alpha;
+    stage.epilogue.beta = e.beta;
+    stage.epilogue.acts = e.activations;
+    stage.epilogue.output_dtype = n.out_desc.dtype;
+  }
+  if (st.epilogues.back().has_residual) step.residual = n.inputs[next++];
+  return step;
 }
 
 /// True if the layout-transform node is adjacent to a Bolt composite and
@@ -204,9 +235,9 @@ void Engine::PreProfile(Profiler& profiler) {
   // BuildModule's serial walk below hits a warm cache.  The profiler's
   // single-flight cache deduplicates repeated workloads across jobs.
   std::vector<std::function<void()>> jobs;
-  for (const Node& n : graph_.nodes()) {
+  for (const Node& n : graph_->nodes()) {
     if (!IsComposite(n.kind)) continue;
-    jobs.push_back([&profiler, kind = n.kind, st = StagesOf(graph_, n)] {
+    jobs.push_back([&profiler, kind = n.kind, st = StagesOf(*graph_, n)] {
       switch (kind) {
         case OpKind::kBoltGemm:
           profiler.ProfileGemm(st.gemms[0], st.epilogues[0]);
@@ -244,11 +275,11 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
     }
     return Status::Ok();
   };
-  for (const Node& n : graph_.nodes()) {
+  for (const Node& n : graph_->nodes()) {
     if (IsComposite(n.kind)) {
       // Persistent fusions execute stage-by-stage on the host kernels, so
       // each stage problem is its own tunable workload.
-      const CompositeStages st = StagesOf(graph_, n);
+      const CompositeStages st = StagesOf(*graph_, n);
       for (const GemmCoord& p : st.gemms) {
         CpuGemmWorkload w;
         w.m = p.m;
@@ -275,8 +306,8 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
       // Unfused primitive conv (e.g. dilated) executed by the host
       // kernels through the interpreter step in Run().
       const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
-      const TensorDesc& x = graph_.node(n.inputs[0]).out_desc;
-      const TensorDesc& wt = graph_.node(n.inputs[1]).out_desc;
+      const TensorDesc& x = graph_->node(n.inputs[0]).out_desc;
+      const TensorDesc& wt = graph_->node(n.inputs[1]).out_desc;
       if (x.shape.size() != 4 || wt.shape.size() != 4) continue;
       CpuConvWorkload w;
       w.layout = x.layout;
@@ -308,18 +339,19 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
 
 Status Engine::BuildModule(Profiler& profiler) {
   const DeviceSpec& spec = options_.device;
-  std::vector<bool> handled(graph_.num_nodes(), false);
+  std::vector<bool> handled(graph_->num_nodes(), false);
+  std::vector<KernelStep> steps;
 
-  for (const Node& n : graph_.nodes()) {
+  for (const Node& n : graph_->nodes()) {
     if (handled[n.id]) continue;
     switch (n.kind) {
       case OpKind::kInput:
       case OpKind::kConstant:
         break;
       case OpKind::kBoltGemm: {
-        CompositeStages st = StagesOf(graph_, n);
+        const CompositeStages st = StagesOf(*graph_, n);
         const GemmCoord& p = st.gemms[0];
-        EpilogueSpec& e = st.epilogues[0];
+        const EpilogueSpec& e = st.epilogues[0];
         auto r = profiler.ProfileGemm(p, e);
         if (!r.ok()) return r.status();
         report_.candidates_tried += r.value().candidates_tried;
@@ -328,16 +360,13 @@ Status Engine::BuildModule(Profiler& profiler) {
                                 codegen::EmitGemmKernel(p, r.value().config,
                                                         e));
         module_.AddLaunch({LaunchKind::kGemm, name, n.id, r.value().us});
-        // Store at the node's declared precision: an FP32 graph must not
-        // be quantized through the EpilogueSpec's FP16 default.
-        e.output_dtype = n.out_desc.dtype;
-        plans_.emplace(n.id, GemmKernel(p, r.value().config, e));
+        steps.push_back(LowerComposite(n, st));
         break;
       }
       case OpKind::kBoltConv2d: {
-        CompositeStages st = StagesOf(graph_, n);
+        const CompositeStages st = StagesOf(*graph_, n);
         const ConvProblem& p = st.convs[0];
-        EpilogueSpec& e = st.epilogues[0];
+        const EpilogueSpec& e = st.epilogues[0];
         auto r = profiler.ProfileConv(p, e);
         if (!r.ok()) return r.status();
         report_.candidates_tried += r.value().candidates_tried;
@@ -346,14 +375,14 @@ Status Engine::BuildModule(Profiler& profiler) {
           eo.pad_input_channels_to = p.c;
         }
         // Fold adjacent layout transforms into this kernel's iterators.
-        const Node& x = graph_.node(n.inputs[0]);
+        const Node& x = graph_->node(n.inputs[0]);
         if (x.kind == OpKind::kLayoutTransform ||
             (x.kind == OpKind::kPadChannels &&
-             graph_.node(x.inputs[0]).kind == OpKind::kLayoutTransform)) {
+             graph_->node(x.inputs[0]).kind == OpKind::kLayoutTransform)) {
           eo.fold_input_layout_transform = true;
         }
-        for (NodeId c : graph_.Consumers(n.id)) {
-          if (graph_.node(c).kind == OpKind::kLayoutTransform) {
+        for (NodeId c : graph_->Consumers(n.id)) {
+          if (graph_->node(c).kind == OpKind::kLayoutTransform) {
             eo.fold_output_layout_transform = true;
           }
         }
@@ -361,12 +390,11 @@ Status Engine::BuildModule(Profiler& profiler) {
         module_.AddKernelSource(
             name, codegen::EmitConvKernel(p, r.value().config, e, eo));
         module_.AddLaunch({LaunchKind::kConv, name, n.id, r.value().us});
-        e.output_dtype = n.out_desc.dtype;
-        plans_.emplace(n.id, Conv2dKernel(p, r.value().config, e));
+        steps.push_back(LowerComposite(n, st));
         break;
       }
       case OpKind::kBoltB2BGemm: {
-        const CompositeStages st = StagesOf(graph_, n);
+        const CompositeStages st = StagesOf(*graph_, n);
         B2bProfileResult r = profiler.ProfileB2bGemm(st.gemms, st.epilogues);
         if (!r.feasible) {
           return Status::Internal("b2b gemm node no longer feasible: " +
@@ -379,18 +407,17 @@ Status Engine::BuildModule(Profiler& profiler) {
         }
         const std::string source =
             codegen::EmitB2bGemmKernel(kstages, r.residence);
-        for (B2bStage& k : kstages) k.epilogue.output_dtype = n.out_desc.dtype;
         auto kernel =
             B2bGemmKernel::Create(std::move(kstages), r.residence, spec);
         if (!kernel.ok()) return kernel.status();
         const std::string name = kernel.value().Name();
         module_.AddKernelSource(name, source);
         module_.AddLaunch({LaunchKind::kB2bGemm, name, n.id, r.fused_us});
-        plans_.emplace(n.id, std::move(kernel).value());
+        steps.push_back(LowerComposite(n, st));
         break;
       }
       case OpKind::kBoltB2BConv: {
-        const CompositeStages st = StagesOf(graph_, n);
+        const CompositeStages st = StagesOf(*graph_, n);
         B2bProfileResult r = profiler.ProfileB2bConv(st.convs, st.epilogues);
         if (!r.feasible) {
           return Status::Internal("b2b conv node no longer feasible: " +
@@ -403,20 +430,17 @@ Status Engine::BuildModule(Profiler& profiler) {
         }
         const std::string source =
             codegen::EmitB2bConvKernel(kstages, r.residence);
-        for (B2bConvStage& k : kstages) {
-          k.epilogue.output_dtype = n.out_desc.dtype;
-        }
         auto kernel =
             B2bConvKernel::Create(std::move(kstages), r.residence, spec);
         if (!kernel.ok()) return kernel.status();
         const std::string name = kernel.value().Name();
         module_.AddKernelSource(name, source);
         module_.AddLaunch({LaunchKind::kB2bConv, name, n.id, r.fused_us});
-        plans_.emplace(n.id, std::move(kernel).value());
+        steps.push_back(LowerComposite(n, st));
         break;
       }
       case OpKind::kPadChannels: {
-        const Node& x = graph_.node(n.inputs[0]);
+        const Node& x = graph_->node(n.inputs[0]);
         const double us = cutlite::PaddingKernelUs(
             spec, static_cast<double>(x.out_desc.num_bytes()),
             static_cast<double>(n.out_desc.num_bytes()));
@@ -425,16 +449,16 @@ Status Engine::BuildModule(Profiler& profiler) {
         break;
       }
       case OpKind::kLayoutTransform: {
-        if (TransformFoldable(graph_, n)) {
+        if (TransformFoldable(*graph_, n)) {
           // Folded into the adjacent kernel: traffic cost, no launch.
-          const double us = HostOpCostUs(spec, graph_, n) -
+          const double us = HostOpCostUs(spec, *graph_, n) -
                             spec.kernel_launch_us;
           module_.AddLaunch({LaunchKind::kHostOp,
                              "folded_layout_transform", n.id,
                              std::max(0.0, us)});
         } else {
           module_.AddLaunch({LaunchKind::kHostOp, "layout_transform", n.id,
-                             HostOpCostUs(spec, graph_, n)});
+                             HostOpCostUs(spec, *graph_, n)});
         }
         break;
       }
@@ -445,9 +469,9 @@ Status Engine::BuildModule(Profiler& profiler) {
           std::vector<NodeId> chain = {n.id};
           NodeId cur = n.id;
           while (true) {
-            const auto consumers = graph_.Consumers(cur);
+            const auto consumers = graph_->Consumers(cur);
             if (consumers.size() != 1) break;
-            const Node& c = graph_.node(consumers[0]);
+            const Node& c = graph_->node(consumers[0]);
             if (!IsElementwiseFusable(c.kind) || c.inputs[0] != cur) break;
             chain.push_back(c.id);
             cur = c.id;
@@ -455,16 +479,18 @@ Status Engine::BuildModule(Profiler& profiler) {
           for (NodeId id : chain) handled[id] = true;
           module_.AddLaunch({LaunchKind::kHostOp,
                              StrCat("tvm_elemwise_x", chain.size()), n.id,
-                             ElementwiseChainCostUs(spec, graph_, chain)});
+                             ElementwiseChainCostUs(spec, *graph_, chain)});
         } else {
           module_.AddLaunch({LaunchKind::kHostOp, OpKindName(n.kind), n.id,
-                             HostOpCostUs(spec, graph_, n)});
+                             HostOpCostUs(spec, *graph_, n)});
         }
         break;
       }
     }
     handled[n.id] = true;
   }
+  interp_ = std::make_unique<const Interpreter>(*graph_, InterpreterOptions{},
+                                                std::move(steps));
   return Status::Ok();
 }
 
@@ -473,12 +499,12 @@ Result<std::vector<std::vector<Tensor>>> Engine::RunBatch(
   if (requests.empty()) {
     return Status::InvalidArgument("RunBatch needs at least one request");
   }
-  if (graph_.input_ids().size() != 1) {
+  if (graph_->input_ids().size() != 1) {
     return Status::Unsupported(
         StrCat("RunBatch requires exactly one graph input, got ",
-               graph_.input_ids().size()));
+               graph_->input_ids().size()));
   }
-  const Node& in_node = graph_.node(graph_.input_ids()[0]);
+  const Node& in_node = graph_->node(graph_->input_ids()[0]);
   const TensorDesc& in_desc = in_node.out_desc;
   if (in_desc.rank() < 1) {
     return Status::Unsupported("RunBatch input has no batch axis");
@@ -555,72 +581,7 @@ Result<std::vector<std::vector<Tensor>>> Engine::RunBatch(
 
 Result<std::vector<Tensor>> Engine::Run(
     const std::map<std::string, Tensor>& inputs) const {
-  // Built per call rather than held as a member: an Engine is moved out of
-  // Result<Engine>, which would leave a member's `const Graph&` dangling.
-  const Interpreter interp(graph_);
-  std::vector<Tensor> env(graph_.num_nodes());
-  for (const Node& n : graph_.nodes()) {
-    if (!IsComposite(n.kind)) {
-      BOLT_RETURN_IF_ERROR(interp.RunNode(n, inputs, env));
-      continue;
-    }
-    auto out = RunComposite(n, interp, env);
-    if (!out.ok()) return out.status();
-    env[n.id] = std::move(out).value();
-  }
-  return interp.Outputs(env);
-}
-
-Result<Tensor> Engine::RunComposite(const Node& n, const Interpreter& interp,
-                                    const std::vector<Tensor>& env) const {
-  const NodePlan& plan = plans_.at(n.id);
-  // Operands in node-input order: activation, then per stage the weight
-  // and (when the epilogue has one) the bias; a residual comes last.
-  size_t next = 0;
-  auto arg = [&] { return &interp.Operand(env, n.inputs[next++]); };
-  switch (n.kind) {
-    case OpKind::kBoltGemm: {
-      const GemmKernel& kernel = std::get<GemmKernel>(plan);
-      cutlite::GemmArguments args;
-      args.a = arg();
-      args.w = arg();
-      if (kernel.epilogue().has_bias) args.bias = arg();
-      if (kernel.epilogue().has_residual) args.c = arg();
-      return kernel.Run(args);
-    }
-    case OpKind::kBoltConv2d: {
-      const Conv2dKernel& kernel = std::get<Conv2dKernel>(plan);
-      const Tensor* x = arg();
-      const Tensor* w = arg();
-      const Tensor* bias = kernel.epilogue().has_bias ? arg() : nullptr;
-      const Tensor* residual =
-          kernel.epilogue().has_residual ? arg() : nullptr;
-      return kernel.Run(*x, *w, bias, residual);
-    }
-    case OpKind::kBoltB2BGemm: {
-      const B2bGemmKernel& kernel = std::get<B2bGemmKernel>(plan);
-      const Tensor* x = arg();
-      std::vector<const Tensor*> weights, biases;
-      for (const B2bStage& s : kernel.stages()) {
-        weights.push_back(arg());
-        biases.push_back(s.epilogue.has_bias ? arg() : nullptr);
-      }
-      return kernel.Run(*x, weights, biases);
-    }
-    case OpKind::kBoltB2BConv: {
-      const B2bConvKernel& kernel = std::get<B2bConvKernel>(plan);
-      const Tensor* x = arg();
-      std::vector<const Tensor*> weights, biases;
-      for (const B2bConvStage& s : kernel.stages()) {
-        weights.push_back(arg());
-        biases.push_back(s.epilogue.has_bias ? arg() : nullptr);
-      }
-      return kernel.Run(*x, weights, biases);
-    }
-    default:
-      return Status::Internal(
-          StrCat("not a bolt composite: ", OpKindName(n.kind)));
-  }
+  return interp_->Run(inputs);
 }
 
 }  // namespace bolt

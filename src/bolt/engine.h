@@ -17,20 +17,17 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "bolt/passes.h"
 #include "codegen/module.h"
-#include "cutlite/b2b.h"
 #include "device/spec.h"
 #include "ir/graph.h"
+#include "ir/interpreter.h"
 #include "ir/partition.h"
 #include "profiler/profiler.h"
 
 namespace bolt {
-
-class Interpreter;
 
 struct CompileOptions {
   DeviceSpec device = DeviceSpec::TeslaT4();
@@ -99,7 +96,7 @@ class Engine {
                                 const CompileOptions& options);
 
   /// The graph after all Bolt passes (composite bolt.* ops present).
-  const Graph& optimized_graph() const { return graph_; }
+  const Graph& optimized_graph() const { return *graph_; }
 
   /// Generated-code module: kernel sources + launch plan.
   const codegen::RuntimeModule& module() const { return module_; }
@@ -113,8 +110,10 @@ class Engine {
   const DeviceSpec& device() const { return options_.device; }
 
   /// Functional execution (FP16-faithful). Weights must be materialized.
-  /// bolt.* nodes run the kernels built at Compile; every other node runs
-  /// through Interpreter::RunNode.
+  /// Runs the Interpreter built at Compile: each bolt.* node is one
+  /// KernelStep lowered from its profiled problem and epilogue, every
+  /// other node an ordinary interpreter step.  Const and thread-safe: the
+  /// walk's state is local to the call.
   Result<std::vector<Tensor>> Run(
       const std::map<std::string, Tensor>& inputs) const;
 
@@ -139,15 +138,9 @@ class Engine {
       const std::vector<Tensor>& requests) const;
 
  private:
-  /// The kernel BuildModule built for one bolt.* node: its problem,
-  /// profiled config(s) and epilogue(s) are fixed, so Run only binds
-  /// tensors.
-  using NodePlan =
-      std::variant<cutlite::GemmKernel, cutlite::Conv2dKernel,
-                   cutlite::B2bGemmKernel, cutlite::B2bConvKernel>;
-
   Engine(Graph graph, CompileOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
+      : graph_(std::make_unique<const Graph>(std::move(graph))),
+        options_(std::move(options)) {}
 
   /// Warms the profiler's best-config cache by fanning the graph's
   /// independent partitioned workloads out across the profiler's worker
@@ -155,6 +148,8 @@ class Engine {
   /// BuildModule, which re-encounters and reports them.
   void PreProfile(Profiler& profiler);
 
+  /// Profiles and emits every launch, and builds interp_ with one
+  /// KernelStep per bolt.* node.
   Status BuildModule(Profiler& profiler);
 
   /// Measures CPU kernel blockings for every GEMM / conv problem in the
@@ -163,16 +158,12 @@ class Engine {
   /// cpu_* fields of report_.
   Status TuneCpuKernels(Profiler& profiler);
 
-  /// Runs bolt.* node `n` on its planned kernel, reading its operands
-  /// from `env` through `interp` (constants by reference).
-  Result<Tensor> RunComposite(const Node& n, const Interpreter& interp,
-                              const std::vector<Tensor>& env) const;
-
-  Graph graph_;
+  // On the heap so that moving the Engine keeps interp_'s reference valid.
+  std::unique_ptr<const Graph> graph_;
   CompileOptions options_;
   codegen::RuntimeModule module_;
   TuningReport report_;
-  std::map<NodeId, NodePlan> plans_;
+  std::unique_ptr<const Interpreter> interp_;
 };
 
 }  // namespace bolt

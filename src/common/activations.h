@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/exp_constants.h"
@@ -100,10 +101,14 @@ inline float ApplyActivation(ActivationKind k, float x) {
     case ActivationKind::kGelu: {
       // tanh approximation, as used by CUTLASS's GELU_taylor epilogue:
       // 0.5 x (1 + tanh(u)) == x / (1 + exp(-2u)), which has no
-      // cancellation in the negative tail.
+      // cancellation in the negative tail.  The exp term overflows only
+      // for x below about -10.4, where the quotient is -0 anyway; returning
+      // -0 there keeps x = -inf from computing -inf/inf = NaN.
       const float inner =
           expconst::kGeluAlpha * (x + expconst::kGeluBeta * x * x * x);
-      return x / (1.0f + ExpPortable(-2.0f * inner));
+      const float e = ExpPortable(-2.0f * inner);
+      return e == std::numeric_limits<float>::infinity() ? -0.0f
+                                                         : x / (1.0f + e);
     }
     case ActivationKind::kHardswish: {
       const float r = x + 3.0f;

@@ -100,11 +100,5 @@ std::string Registry::DumpJson() const {
   return out.str();
 }
 
-void Registry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
-}
-
 }  // namespace metrics
 }  // namespace bolt

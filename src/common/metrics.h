@@ -83,10 +83,6 @@ class Registry {
   /// document.
   std::string DumpJson() const;
 
-  /// Zeroes every registered instrument (addresses stay valid).  For
-  /// tests and benches that need a clean slate.
-  void Reset();
-
  private:
   Registry() = default;
 

@@ -10,8 +10,8 @@
 //
 //  * cutlite mode (boundary_quantize = false):
 //      D = Act(alpha * acc + beta * src + bias), quantized once on store —
-//    exactly cutlite::ApplyEpilogueElement, so the functional GPU kernels
-//    can delegate here bit-for-bit.
+//    exactly cutlite::ApplyEpilogueElement: the contract of the engine's
+//    bolt.* kernels, which run here as interpreter steps.
 //
 //  * interpreter mode (boundary_quantize = true): each fused stage
 //    quantizes to the tensor's storage precision, reproducing the

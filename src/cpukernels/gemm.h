@@ -2,8 +2,8 @@
 // SPDX-License-Identifier: Apache-2.0
 //
 // Cache-blocked packed GEMM with fused epilogue — the CPU fast path for
-// dense layers (and, through cutlite's functional kernels, for the
-// simulated GPU GEMMs).
+// dense layers, and for the engine's bolt.* GEMMs (the simulated GPU
+// kernels' host execution).
 //
 // Semantics match refop::Dense / cutlite::GemmKernel:
 //   D[M, N] = Epilogue(A[M, K] x W[N, K]^T)
@@ -30,7 +30,7 @@ namespace cpukernels {
 Tensor Gemm(const Tensor& a, const Tensor& w, const Epilogue& epi,
             const BlockConfig& cfg = {}, ThreadPool* pool = nullptr);
 
-/// Raw-pointer variant used by the conv kernels and cutlite delegation:
+/// Raw-pointer variant used by the conv kernels:
 /// writes into `d` (size m*n, row-major).
 void GemmRaw(int64_t m, int64_t n, int64_t k, const float* a,
              const float* w, float* d, const Epilogue& epi,

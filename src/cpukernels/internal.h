@@ -32,7 +32,7 @@
 // scalar micro-kernel each term is rounded exactly like the reference
 // loop, so results are bit-identical to the reference kernels and to
 // themselves for any thread count — the differential tests and the
-// cutlite functional delegation rely on this.  The AVX2 and AVX-512
+// reference backend's composite steps rely on this.  The AVX2 and AVX-512
 // micro-kernels keep the same accumulation *order* but fuse each
 // multiply-add into one rounding, so their tier is ULP-bounded agreement
 // instead of bit identity; they are only selected through ResolveCpuIsa

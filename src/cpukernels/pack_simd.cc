@@ -175,7 +175,8 @@ inline __m256 ActVec(int op, __m256 v) {
     }
     case kEpiActGelu: {
       // Scalar: inner = alpha * (x + beta * x * x * x);
-      //         x / (1 + ExpPortable(-2 * inner)).
+      //         e = ExpPortable(-2 * inner);
+      //         e == +inf ? -0 : x / (1 + e).
       const __m256 x3 = _mm256_mul_ps(
           _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(expconst::kGeluBeta), v),
                         v),
@@ -184,7 +185,10 @@ inline __m256 ActVec(int op, __m256 v) {
                                          _mm256_add_ps(v, x3));
       const __m256 e =
           ExpVec(_mm256_mul_ps(_mm256_set1_ps(-2.0f), inner));
-      return _mm256_div_ps(v, _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+      return _mm256_blendv_ps(
+          _mm256_div_ps(v, _mm256_add_ps(_mm256_set1_ps(1.0f), e)),
+          _mm256_set1_ps(-0.0f),
+          _mm256_cmp_ps(e, _mm256_set1_ps(__builtin_inff()), _CMP_EQ_OQ));
     }
     case kEpiActSigmoid: {
       // Scalar: 1 / (1 + ExpPortable(-x)); negation is a sign-bit flip.

@@ -75,8 +75,8 @@ std::optional<BlockConfig> FindTunedBlockForBackend(TunedKind kind,
                                                     Layout layout) {
   if (backend == Backend::kReference) return std::nullopt;
   // Hit/miss counters make registry consultation observable: execution
-  // paths that should pick up tuned blocks (interpreter, engine host ops,
-  // cutlite delegation) can be asserted on without plumbing test hooks.
+  // paths that should pick up tuned blocks can be asserted on without
+  // plumbing test hooks.
   LookupCounters& counters = LookupCounters::Get();
   Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -87,12 +87,6 @@ std::optional<BlockConfig> FindTunedBlockForBackend(TunedKind kind,
   }
   counters.hits.Increment();
   return *found;
-}
-
-std::optional<BlockConfig> FindTunedBlock(TunedKind kind, int64_t m,
-                                          int64_t n, int64_t k,
-                                          Layout layout) {
-  return FindTunedBlockForBackend(kind, m, n, k, DefaultBackend(), layout);
 }
 
 std::optional<BlockConfig> FindTunedBlockNearBatch(TunedKind kind,

@@ -4,11 +4,11 @@
 // Process-wide registry of profiler-selected CPU block configurations.
 //
 // The profiler measures BlockConfig candidates per GEMM problem shape and
-// publishes the winner here; the interpreter, the engine's host ops, and
-// cutlite's functional delegation look the shape up at execution time and
-// fall back to the host default block (BlockConfig{}) on a miss.  The
-// registry lives in cpukernels (the lowest layer) so cutlite can consult
-// it without depending on the profiler.
+// publishes the winner here; every interpreter launch (the engine's
+// bolt.* kernels included) looks the shape up at execution time and falls
+// back to the host default block (BlockConfig{}) on a miss.  The registry
+// lives in cpukernels (the lowest layer) so no execution path depends on
+// the profiler.
 //
 // Oracle independence: lookups return nothing while the reference backend
 // is forced (BOLT_CPU_BACKEND=ref), so the differential-testing oracle can
@@ -60,11 +60,6 @@ bool RegisterTunedBlock(TunedKind kind, int64_t m, int64_t n, int64_t k,
 std::optional<BlockConfig> FindTunedBlockForBackend(
     TunedKind kind, int64_t m, int64_t n, int64_t k, Backend backend,
     Layout layout = Layout::kRowMajor);
-
-/// Lookup under the process-wide DefaultBackend().
-std::optional<BlockConfig> FindTunedBlock(TunedKind kind, int64_t m,
-                                          int64_t n, int64_t k,
-                                          Layout layout = Layout::kRowMajor);
 
 /// Shape-bucketed lookup for the serving layer's batched executions:
 /// exact (m, n, k) match first; on a miss, reuses the tuned block of the

@@ -148,26 +148,6 @@ Result<B2bGemmKernel> B2bGemmKernel::Create(std::vector<B2bStage> stages,
   return B2bGemmKernel(std::move(stages), residence);
 }
 
-Result<Tensor> B2bGemmKernel::Run(
-    const Tensor& a0, const std::vector<const Tensor*>& weights,
-    const std::vector<const Tensor*>& biases) const {
-  BOLT_CHECK(weights.size() == stages_.size() &&
-             biases.size() == stages_.size());
-  Tensor current = a0;
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    const B2bStage& s = stages_[i];
-    GemmKernel stage_kernel(s.problem, s.config, s.epilogue);
-    GemmArguments args;
-    args.a = &current;
-    args.w = weights[i];
-    args.bias = biases[i];
-    auto out = stage_kernel.Run(args);
-    if (!out.ok()) return out.status();
-    current = std::move(out).value();
-  }
-  return current;
-}
-
 KernelTiming B2bGemmKernel::Estimate(const DeviceSpec& spec) const {
   const CtaResources combined = CombinedResources(
       stages_, residence_, stages_.front().problem.n);
@@ -300,22 +280,6 @@ Result<B2bConvKernel> B2bConvKernel::Create(
     return Status::ResourceExhausted("fused conv kernel has zero occupancy");
   }
   return B2bConvKernel(std::move(stages), residence);
-}
-
-Result<Tensor> B2bConvKernel::Run(
-    const Tensor& x, const std::vector<const Tensor*>& weights,
-    const std::vector<const Tensor*>& biases) const {
-  BOLT_CHECK(weights.size() == stages_.size() &&
-             biases.size() == stages_.size());
-  Tensor current = x;
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    const B2bConvStage& s = stages_[i];
-    Conv2dKernel stage_kernel(s.problem, s.config, s.epilogue);
-    auto out = stage_kernel.Run(current, *weights[i], biases[i]);
-    if (!out.ok()) return out.status();
-    current = std::move(out).value();
-  }
-  return current;
 }
 
 KernelTiming B2bConvKernel::Estimate(const DeviceSpec& spec) const {

@@ -68,15 +68,6 @@ class B2bGemmKernel {
   const std::vector<B2bStage>& stages() const { return stages_; }
   ResidenceKind residence() const { return residence_; }
 
-  /// Functional execution. `a0` is [M, K0]; weights[i] is [N_i, K_i];
-  /// biases[i] may be null when stage i has no bias. The intermediate
-  /// activation is quantized to FP16 between stages — exactly the precision
-  /// an unfused pipeline would see — so fused and unfused results match
-  /// bit-for-bit.
-  Result<Tensor> Run(const Tensor& a0,
-                     const std::vector<const Tensor*>& weights,
-                     const std::vector<const Tensor*>& biases) const;
-
   /// Analytical latency of the fused kernel.
   KernelTiming Estimate(const DeviceSpec& spec) const;
   double EstimateUs(const DeviceSpec& spec) const {
@@ -118,11 +109,6 @@ class B2bConvKernel {
 
   const std::vector<B2bConvStage>& stages() const { return stages_; }
   ResidenceKind residence() const { return residence_; }
-
-  /// x is NHWC; weights[i] is [K_i, R_i, S_i, C_i].
-  Result<Tensor> Run(const Tensor& x,
-                     const std::vector<const Tensor*>& weights,
-                     const std::vector<const Tensor*>& biases) const;
 
   KernelTiming Estimate(const DeviceSpec& spec) const;
   double EstimateUs(const DeviceSpec& spec) const {

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cpukernels/backend.h"
-#include "cpukernels/conv.h"
-#include "cpukernels/tuned.h"
-
 namespace bolt {
 namespace cutlite {
 
@@ -31,82 +27,6 @@ Status Conv2dKernel::CanImplement(const DeviceSpec& spec) const {
         StrCat("align_c=", config_.align_c, " does not divide K=", p.k));
   }
   return Status::Ok();
-}
-
-Result<Tensor> Conv2dKernel::Run(const Tensor& x, const Tensor& weight,
-                                 const Tensor* bias,
-                                 const Tensor* residual) const {
-  const ConvProblem& p = problem_;
-  BOLT_CHECK_MSG(x.layout() == Layout::kNHWC, "conv kernel expects NHWC");
-  BOLT_CHECK(x.shape()[0] == p.n && x.shape()[1] == p.h &&
-             x.shape()[2] == p.w && x.shape()[3] == p.c);
-  BOLT_CHECK(weight.shape()[0] == p.k && weight.shape()[1] == p.r &&
-             weight.shape()[2] == p.s && weight.shape()[3] == p.c);
-  if (epilogue_.has_bias) BOLT_CHECK(bias != nullptr);
-
-  const int64_t oh = p.out_h(), ow = p.out_w();
-  if (!epilogue_.column_reduction &&
-      cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu) {
-    // Delegate every config, split-K or not, to the blocked implicit-GEMM
-    // CPU kernel (same ascending (r, s, c) accumulation order and epilogue
-    // arithmetic — results are bit-identical to the direct loop below up
-    // to the sign of zero; the direct loop ignores split_k as well).
-    cpukernels::ConvParams cp;
-    cp.stride_h = p.stride_h;
-    cp.stride_w = p.stride_w;
-    cp.pad_h = p.pad_h;
-    cp.pad_w = p.pad_w;
-    cpukernels::Epilogue epi;
-    epi.alpha = epilogue_.alpha;
-    epi.beta = epilogue_.beta;
-    if (epilogue_.has_bias) epi.bias = bias->data().data();
-    if (epilogue_.has_residual || epilogue_.beta != 0.0f) {
-      BOLT_CHECK(residual != nullptr);
-      epi.residual = residual->data().data();
-    }
-    epi.acts = epilogue_.activations;
-    epi.output_dtype = epilogue_.output_dtype;
-    // A profiler-tuned block for this implicit-GEMM shape, else the host
-    // default block (cpukernels/tuned.h).
-    const cpukernels::ConvGemmShape shape =
-        cpukernels::ResolveConvGemmShape(x, weight, cp);
-    const cpukernels::BlockConfig block =
-        cpukernels::FindTunedBlock(cpukernels::TunedKind::kConv, shape.m,
-                                   shape.n, shape.k, x.layout())
-            .value_or(cpukernels::BlockConfig{});
-    return cpukernels::Conv2d(x, weight, cp, epi, block,
-                              &cpukernels::ProcessPool());
-  }
-  std::vector<int64_t> oshape = {p.n, oh, ow, p.k};
-  Tensor out(TensorDesc(epilogue_.output_dtype, oshape, Layout::kNHWC));
-  const auto& xs = x.shape();
-  for (int64_t in = 0; in < p.n; ++in) {
-    for (int64_t ih = 0; ih < oh; ++ih) {
-      for (int64_t iw = 0; iw < ow; ++iw) {
-        for (int64_t ik = 0; ik < p.k; ++ik) {
-          float acc = 0.0f;
-          for (int64_t r = 0; r < p.r; ++r) {
-            const int64_t sh = ih * p.stride_h + r - p.pad_h;
-            if (sh < 0 || sh >= p.h) continue;
-            for (int64_t s = 0; s < p.s; ++s) {
-              const int64_t sw = iw * p.stride_w + s - p.pad_w;
-              if (sw < 0 || sw >= p.w) continue;
-              const float* xp =
-                  x.data().data() + IndexNHWC(xs, in, sh, sw, 0);
-              const float* wp = weight.data().data() +
-                                ((ik * p.r + r) * p.s + s) * p.c;
-              for (int64_t ic = 0; ic < p.c; ++ic) acc += xp[ic] * wp[ic];
-            }
-          }
-          const int64_t oi = IndexNHWC(oshape, in, ih, iw, ik);
-          const float src = residual != nullptr ? residual->at(oi) : 0.0f;
-          const float b = epilogue_.has_bias ? bias->at(ik) : 0.0f;
-          out.at(oi) = ApplyEpilogueElement(epilogue_, acc, src, b);
-        }
-      }
-    }
-  }
-  return out;
 }
 
 KernelTiming EstimateConvMainloop(const DeviceSpec& spec,

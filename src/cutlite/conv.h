@@ -71,12 +71,6 @@ class Conv2dKernel {
 
   Status CanImplement(const DeviceSpec& spec) const;
 
-  /// Functional execution: x is NHWC [n,h,w,c]; weight is [k,r,s,c];
-  /// returns NHWC output with the epilogue applied.
-  Result<Tensor> Run(const Tensor& x, const Tensor& weight,
-                     const Tensor* bias = nullptr,
-                     const Tensor* residual = nullptr) const;
-
   KernelTiming Estimate(const DeviceSpec& spec) const;
   double EstimateUs(const DeviceSpec& spec) const {
     return Estimate(spec).total_us;

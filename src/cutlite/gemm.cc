@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cpukernels/backend.h"
-#include "cpukernels/gemm.h"
-#include "cpukernels/tuned.h"
-
 namespace bolt {
 namespace cutlite {
 
@@ -60,32 +56,6 @@ Result<Tensor> GemmKernel::Run(const GemmArguments& args) const {
   }
 
   Tensor out(TensorDesc(epilogue_.output_dtype, {m, n}, Layout::kRowMajor));
-  if (config_.split_k == 1 && !epilogue_.column_reduction &&
-      cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu) {
-    // Delegate to the blocked CPU kernel: same ascending-k accumulation
-    // order and the same epilogue arithmetic, so results are bit-identical
-    // to the tiled loop below.  Split-K slicing and the column-reduction
-    // epilogue keep the explicit traversal.
-    cpukernels::Epilogue epi;
-    epi.alpha = epilogue_.alpha;
-    epi.beta = epilogue_.beta;
-    if (epilogue_.has_bias) epi.bias = args.bias->data().data();
-    if (epilogue_.has_residual || epilogue_.beta != 0.0f) {
-      epi.residual = args.c->data().data();
-    }
-    epi.acts = epilogue_.activations;
-    epi.output_dtype = epilogue_.output_dtype;
-    // Blocking: a profiler-tuned block for this problem shape, else the
-    // host default block (cpukernels/tuned.h; the registry is empty
-    // unless CPU autotuning ran).
-    const cpukernels::BlockConfig block =
-        cpukernels::FindTunedBlock(cpukernels::TunedKind::kGemm, m, n, k)
-            .value_or(cpukernels::BlockConfig{});
-    cpukernels::GemmRaw(m, n, k, args.a->data().data(),
-                        args.w->data().data(), out.data().data(), epi,
-                        block, &cpukernels::ProcessPool());
-    return out;
-  }
   // Tiled traversal in the CUTLASS order: threadblock tiles over M, N
   // (and K slices under split-K); the K loop innermost per tile. Split-K
   // slices produce FP32 partials that are reduced before the epilogue,

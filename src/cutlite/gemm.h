@@ -10,8 +10,10 @@
 //   C: optional [M, N] source operand, bias: optional [N]
 //
 // Two execution paths:
-//  * Run(): functional, bit-realistic FP16 storage / FP32 accumulate, used
-//    by tests and the Bolt engine's functional mode.
+//  * Run(): the functional model of the tiled CUTLASS traversal, with
+//    FP16 storage / FP32 accumulate, split-K slices reduced in FP32 and
+//    the column-reduction epilogue.  Tests and benches call it; the Bolt
+//    engine executes on the host kernels (ir/interpreter.h KernelStep).
 //  * EstimateUs(): analytical latency on a DeviceSpec, used by the
 //    profiler, the engine's timing mode, and every bench.
 
@@ -70,7 +72,7 @@ class GemmKernel {
   /// for fusion live in b2b.h; this checks alignment feasibility etc.).
   Status CanImplement(const DeviceSpec& spec) const;
 
-  /// Functional execution.
+  /// Functional execution of the tiled traversal (see the file comment).
   Result<Tensor> Run(const GemmArguments& args) const;
 
   /// Analytical latency.

@@ -21,13 +21,6 @@ int CtasPerSm(const DeviceSpec& spec, const CtaResources& res) {
   return std::max(result, 0);
 }
 
-double WarpOccupancy(const DeviceSpec& spec, const CtaResources& res) {
-  const int ctas = CtasPerSm(spec, res);
-  if (ctas == 0) return 0.0;
-  const int warps = ctas * (res.threads / spec.warp_size);
-  return std::min(1.0, static_cast<double>(warps) / spec.max_warps_per_sm);
-}
-
 double LatencyHidingFactor(const DeviceSpec& spec, int resident_warps) {
   (void)spec;
   if (resident_warps <= 0) return 0.0;

@@ -23,9 +23,6 @@ struct CtaResources {
 /// Resident CTAs per SM (0 means the CTA does not fit at all).
 int CtasPerSm(const DeviceSpec& spec, const CtaResources& res);
 
-/// Occupancy as resident warps / max warps, in [0, 1].
-double WarpOccupancy(const DeviceSpec& spec, const CtaResources& res);
-
 /// Latency-hiding efficiency of a kernel at the given occupancy: tensor-core
 /// pipelines need roughly 8 resident warps per SM to stay fed; below that,
 /// issue bubbles appear.  Returns a factor in (0, 1].

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cpukernels/conv.h"
 #include "cpukernels/gemm.h"
-#include "cpukernels/tuned.h"
 
 namespace bolt {
 namespace refop {
@@ -348,7 +346,8 @@ Tensor Concat(const std::vector<const Tensor*>& parts) {
 
 }  // namespace refop
 
-Interpreter::Interpreter(const Graph& graph, InterpreterOptions options)
+Interpreter::Interpreter(const Graph& graph, InterpreterOptions options,
+                         std::vector<KernelStep> steps)
     : graph_(graph), options_(options) {
   fast_ = options_.backend == cpukernels::Backend::kFastCpu;
   uses_.assign(graph_.num_nodes(), 0);
@@ -363,6 +362,7 @@ Interpreter::Interpreter(const Graph& graph, InterpreterOptions options)
   }
   for (NodeId id : graph_.output_ids()) is_output_[id] = 1;
   if (fast_) BuildPlan();
+  for (KernelStep& step : steps) steps_[step.result] = std::move(step);
 }
 
 void Interpreter::BuildPlan() {
@@ -378,8 +378,21 @@ void Interpreter::BuildPlan() {
 
   for (const Node& n : graph_.nodes()) {
     if (n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) continue;
-    FusedChain ch;
-    ch.anchor = n.id;
+    KernelStep step;
+    step.activation = n.inputs[0];
+    KernelStep::Stage& st = step.stages.emplace_back();
+    st.weight = n.inputs[1];
+    st.epilogue.boundary_quantize = true;
+    if (n.kind == OpKind::kConv2d) {
+      const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
+      st.kind = KernelStep::Kind::kConv;
+      st.conv.stride_h = a.stride_h;
+      st.conv.stride_w = a.stride_w;
+      st.conv.pad_h = a.pad_h;
+      st.conv.pad_w = a.pad_w;
+      st.conv.dilation_h = a.dilation_h;
+      st.conv.dilation_w = a.dilation_w;
+    }
     // Output channels of the anchor (bias length must match for the
     // per-column epilogue broadcast to equal the reference BiasAdd).
     const int64_t oc = graph_.node(n.inputs[1]).out_desc.shape[0];
@@ -396,7 +409,7 @@ void Interpreter::BuildPlan() {
       if (c.kind == OpKind::kBiasAdd && stage == Stage::kBias &&
           c.inputs[0] == cur &&
           graph_.node(c.inputs[1]).out_desc.num_elements() == oc) {
-        ch.bias = c.inputs[1];
+        st.bias = c.inputs[1];
         cur = c.id;
         stage = Stage::kAct;
         continue;
@@ -404,7 +417,7 @@ void Interpreter::BuildPlan() {
       if (c.kind == OpKind::kActivation) {
         auto kind = ActivationFromName(c.attrs.GetStr("kind"));
         if (!kind.ok()) break;
-        ch.acts.push_back(kind.value());
+        st.epilogue.acts.push_back(kind.value());
         cur = c.id;
         stage = Stage::kAct;
         continue;
@@ -417,78 +430,77 @@ void Interpreter::BuildPlan() {
               graph_.node(c.inputs[1]).out_desc)) {
           break;
         }
-        ch.residual = other;
+        step.residual = other;
         cur = c.id;
       }
       break;  // residual Add (or anything else) terminates the chain
     }
-    ch.result = cur;
-    for (NodeId id = ch.anchor; id != ch.result; id = succ[id]) {
+    step.result = cur;
+    st.epilogue.output_dtype = graph_.node(cur).out_desc.dtype;
+    for (NodeId id = n.id; id != cur; id = succ[id]) {
       fused_member_[id] = 1;
       claimed[id] = 1;
     }
-    claimed[ch.result] = 1;
-    chains_[ch.result] = ch;
+    claimed[cur] = 1;
+    steps_[cur] = std::move(step);
   }
 }
 
-namespace {
-
-// The block a fast-backend launch runs with: the tuned block for the shape
-// (exact first, then the nearest tuned batch size for the same (n, k)) or
-// the configured fallback.
-cpukernels::BlockConfig BlockFor(const InterpreterOptions& o,
-                                 cpukernels::TunedKind kind, int64_t m,
-                                 int64_t n, int64_t k, Layout layout) {
-  if (!o.use_tuned_blocks) return o.block;
-  return cpukernels::FindTunedBlockNearBatch(kind, m, n, k, o.backend, layout)
-      .value_or(o.block);
+// The block a launch runs with.  Fast backend: the tuned block for the
+// shape (exact first, then the nearest tuned batch size for the same
+// (n, k)) or the configured fallback.  Reference backend: the bit-exact
+// scalar tier, whatever the registry or the options hold.
+cpukernels::BlockConfig Interpreter::BlockFor(cpukernels::TunedKind kind,
+                                              int64_t m, int64_t n, int64_t k,
+                                              Layout layout) const {
+  if (!fast_) {
+    cpukernels::BlockConfig scalar;
+    scalar.isa = cpukernels::CpuIsa::kScalar;
+    return scalar;
+  }
+  if (!options_.use_tuned_blocks) return options_.block;
+  return cpukernels::FindTunedBlockNearBatch(kind, m, n, k, options_.backend,
+                                             layout)
+      .value_or(options_.block);
 }
 
-}  // namespace
-
 ThreadPool* Interpreter::ResolvePool() const {
+  if (!fast_) return nullptr;
   if (options_.pool != nullptr) return options_.pool;
   if (options_.parallel) return &cpukernels::ProcessPool();
   return nullptr;
 }
 
-Tensor Interpreter::RunChain(const FusedChain& ch,
-                             const std::vector<Tensor>& env) const {
-  const Node& a = graph_.node(ch.anchor);
-  const Tensor& x = Operand(env, a.inputs[0]);
-  const Tensor& w = Operand(env, a.inputs[1]);
-  cpukernels::Epilogue epi;
-  epi.output_dtype = graph_.node(ch.result).out_desc.dtype;
-  epi.boundary_quantize = true;
-  if (ch.bias >= 0) epi.bias = Operand(env, ch.bias).data().data();
-  if (ch.residual >= 0) {
-    epi.residual = Operand(env, ch.residual).data().data();
-  }
-  epi.acts = ch.acts;
+Tensor Interpreter::RunStep(const KernelStep& step,
+                            const std::vector<Tensor>& env) const {
   ThreadPool* pool = ResolvePool();
-  if (a.kind == OpKind::kConv2d) {
-    const Conv2dAttrs attrs = Conv2dAttrs::FromNode(a);
-    cpukernels::ConvParams p;
-    p.stride_h = attrs.stride_h;
-    p.stride_w = attrs.stride_w;
-    p.pad_h = attrs.pad_h;
-    p.pad_w = attrs.pad_w;
-    p.dilation_h = attrs.dilation_h;
-    p.dilation_w = attrs.dilation_w;
-    const cpukernels::ConvGemmShape shape =
-        cpukernels::ResolveConvGemmShape(x, w, p);
-    return cpukernels::Conv2d(
-        x, w, p, epi,
-        BlockFor(options_, cpukernels::TunedKind::kConv, shape.m, shape.n,
-                 shape.k, x.layout()),
-        pool);
+  const Tensor* x = &Operand(env, step.activation);
+  Tensor out;
+  for (size_t i = 0; i < step.stages.size(); ++i) {
+    const KernelStep::Stage& st = step.stages[i];
+    const Tensor& w = Operand(env, st.weight);
+    cpukernels::Epilogue epi = st.epilogue;
+    if (st.bias >= 0) epi.bias = Operand(env, st.bias).data().data();
+    if (step.residual >= 0 && i + 1 == step.stages.size()) {
+      epi.residual = Operand(env, step.residual).data().data();
+    }
+    if (st.kind == KernelStep::Kind::kConv) {
+      const cpukernels::ConvGemmShape shape =
+          cpukernels::ResolveConvGemmShape(*x, w, st.conv);
+      out = cpukernels::Conv2d(*x, w, st.conv, epi,
+                               BlockFor(cpukernels::TunedKind::kConv, shape.m,
+                                        shape.n, shape.k, x->layout()),
+                               pool);
+    } else {
+      out = cpukernels::Gemm(*x, w, epi,
+                             BlockFor(cpukernels::TunedKind::kGemm,
+                                      x->shape()[0], w.shape()[0],
+                                      x->shape()[1], Layout::kRowMajor),
+                             pool);
+    }
+    x = &out;  // the next stage reads this one's output in place
   }
-  return cpukernels::Gemm(x, w, epi,
-                          BlockFor(options_, cpukernels::TunedKind::kGemm,
-                                   x.shape()[0], w.shape()[0], x.shape()[1],
-                                   Layout::kRowMajor),
-                          pool);
+  return out;
 }
 
 bool Interpreter::Stealable(NodeId src) const {
@@ -520,13 +532,11 @@ Result<std::vector<Tensor>> Interpreter::Run(
 Status Interpreter::RunNode(const Node& n,
                             const std::map<std::string, Tensor>& inputs,
                             std::vector<Tensor>& env) const {
-  if (fast_) {
-    if (fused_member_[n.id]) return Status::Ok();  // run at the chain result
-    auto it = chains_.find(n.id);
-    if (it != chains_.end()) {
-      env[n.id] = RunChain(it->second, env);
-      return Status::Ok();
-    }
+  if (fused_member_[n.id]) return Status::Ok();  // run at the step result
+  auto it = steps_.find(n.id);
+  if (it != steps_.end()) {
+    env[n.id] = RunStep(it->second, env);
+    return Status::Ok();
   }
   auto in = [&](size_t i) -> const Tensor& {
     return Operand(env, n.inputs[i]);

@@ -16,11 +16,14 @@
 //  * kReference: the original naive per-op loops, kept as the oracle (see
 //    RefExecutor below).  BOLT_CPU_BACKEND=ref selects it process-wide.
 //
-// The interpreter is the only place that dispatches primitive ops.  The
-// Bolt engine executes every non-offloaded (TVM-fallback) node through
-// Interpreter::RunNode, so host ops get the same chain fusion, buffer
-// stealing and tuned-block lookup in both executors; the engine's fused
-// bolt.* kernels are validated against this interpreter.
+// The interpreter is the only executor.  Every kernel launch is a
+// KernelStep: a primitive chain is a one-stage step planned here, and the
+// Bolt engine lowers each bolt.* composite into a step once, at Compile,
+// and hands the steps to its one Interpreter.  Engine::Run is that
+// interpreter's Run, so host ops and offloaded kernels share the chain
+// fusion, buffer stealing and tuned-block lookup.  Under the reference
+// backend no primitive chains are planned, but composite steps still run,
+// on the bit-exact scalar tier of the fast kernels (serial, no registry).
 //
 // Constants are read-only and bound by reference: a constant node's env
 // slot stays empty, every operand is read through Interpreter::Operand
@@ -38,6 +41,9 @@
 #include "common/thread_pool.h"
 #include "cpukernels/backend.h"
 #include "cpukernels/config.h"
+#include "cpukernels/conv.h"
+#include "cpukernels/epilogue.h"
+#include "cpukernels/tuned.h"
 #include "ir/graph.h"
 #include "ir/tensor.h"
 
@@ -98,11 +104,35 @@ struct InterpreterOptions {
   bool use_tuned_blocks = true;
 };
 
-/// Executes a graph of primitive ops. Composite bolt.* nodes are rejected —
-/// run those through the Bolt engine instead.
+/// One kernel launch sequence of the fast CPU kernels: one or more
+/// GEMM / implicit-GEMM conv stages, stage i+1 reading stage i's output,
+/// each with its epilogue fused into the write-back.  The result lands in
+/// env[result].
+struct KernelStep {
+  enum class Kind { kGemm, kConv };
+  struct Stage {
+    Kind kind = Kind::kGemm;
+    NodeId weight = -1;
+    NodeId bias = -1;  // -1 if absent
+    cpukernels::ConvParams conv;  // kConv only
+    /// Everything but the operand pointers, which Run binds: a primitive
+    /// chain quantizes at op boundaries (boundary_quantize), a bolt.*
+    /// composite quantizes once on store (cutlite mode).
+    cpukernels::Epilogue epilogue;
+  };
+  NodeId result = -1;
+  NodeId activation = -1;  // stage 0's input
+  NodeId residual = -1;    // added by the last stage, -1 if absent
+  std::vector<Stage> stages;
+};
+
+/// Executes a graph of primitive ops plus `steps`, the planned launches of
+/// its composite bolt.* nodes (keyed by KernelStep::result).  A composite
+/// node without a step is rejected.
 class Interpreter {
  public:
-  explicit Interpreter(const Graph& graph, InterpreterOptions options = {});
+  explicit Interpreter(const Graph& graph, InterpreterOptions options = {},
+                       std::vector<KernelStep> steps = {});
 
   /// Runs the graph. `inputs` maps input-node names to tensors.
   Result<std::vector<Tensor>> Run(
@@ -110,7 +140,7 @@ class Interpreter {
 
   /// Executes one node of the graph into `env` (indexed by NodeId, sized
   /// num_nodes(); every earlier node already executed).  A fused-chain
-  /// member does nothing: the whole chain runs at its result node.  A
+  /// member does nothing: the whole step runs at its result node.  A
   /// constant does nothing either (see Operand).  May move a single-reader
   /// non-constant input out of `env`.  An input whose shape differs from
   /// its node's declared shape is rejected with InvalidArgument.
@@ -129,21 +159,14 @@ class Interpreter {
   const InterpreterOptions& options() const { return options_; }
 
  private:
-  /// One Conv2d/Dense anchor plus the epilogue ops folded into its
-  /// write-back.  Executed when the walk reaches `result` (the last node
-  /// of the chain), at which point every non-chain input is available.
-  struct FusedChain {
-    NodeId anchor = -1;
-    NodeId result = -1;
-    NodeId bias = -1;      // BiasAdd operand node, -1 if absent
-    NodeId residual = -1;  // residual Add operand node, -1 if absent
-    std::vector<ActivationKind> acts;
-  };
-
+  /// Plans one step per Conv2d/Dense anchor, folding the BiasAdd /
+  /// Activation / residual-Add chain behind it into its write-back.
   void BuildPlan();
   ThreadPool* ResolvePool() const;
-  Tensor RunChain(const FusedChain& chain,
-                  const std::vector<Tensor>& env) const;
+  cpukernels::BlockConfig BlockFor(cpukernels::TunedKind kind, int64_t m,
+                                   int64_t n, int64_t k, Layout layout) const;
+  Tensor RunStep(const KernelStep& step,
+                 const std::vector<Tensor>& env) const;
   /// True when env[src] may be moved out and overwritten by its reader:
   /// it has exactly one reader, is not a graph output, and is not a
   /// constant (constants are never written).
@@ -154,7 +177,7 @@ class Interpreter {
   const Graph& graph_;
   InterpreterOptions options_;
   bool fast_ = false;
-  std::map<NodeId, FusedChain> chains_;   // keyed by FusedChain::result
+  std::map<NodeId, KernelStep> steps_;    // keyed by KernelStep::result
   std::vector<char> fused_member_;        // chain nodes other than result
   std::vector<int> uses_;                 // consumer-edge counts
   std::vector<char> is_output_;

@@ -176,8 +176,8 @@ class Profiler {
   /// Best CPU blocking for a GEMM workload, by real wall-clock measurement
   /// of the packed kernels (cpu_tune.h).  The winner is published to the
   /// process-wide tuned-block registry (cpukernels/tuned.h) — on both the
-  /// measured and the cache-hit path — so the interpreter, engine host
-  /// ops, and cutlite delegation pick it up at execution time.  Results
+  /// measured and the cache-hit path — so every interpreter launch (the
+  /// engine's bolt.* kernels included) picks it up at execution time.  Results
   /// are cached under the versioned `cpu/` key namespace (keyed by
   /// problem, thread count, and the detected cache hierarchy) and persist
   /// through Save/LoadCache; elapsed measurement time is charged to the

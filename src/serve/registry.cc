@@ -150,24 +150,6 @@ std::optional<double> EngineRegistry::PredictedExecUs(
   return best_us;
 }
 
-size_t EngineRegistry::Invalidate(const std::string& model) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    // Keys are "model@batch"; match on the exact model prefix.
-    const std::string& key = it->first;
-    const size_t at = key.rfind('@');
-    if (at != std::string::npos && key.compare(0, at, model) == 0) {
-      index_.erase(key);
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
 size_t EngineRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();

@@ -52,11 +52,6 @@ class EngineRegistry {
   /// recency).
   bool Contains(const std::string& model, int64_t batch) const;
 
-  /// Drops every cached engine for `model` (e.g. tenant unload).
-  /// Returns the number of entries dropped.  The exec-time EWMA for the
-  /// model is retained: reload serves the same workload.
-  size_t Invalidate(const std::string& model);
-
   /// Folds one measured batch execution into the EWMA for
   /// (model, batch): ewma += kExecEwmaAlpha * (us - ewma), seeded with
   /// the first sample.  The EWMA lives with the registry entry but

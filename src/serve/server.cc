@@ -213,38 +213,5 @@ Result<Server::ResponseFuture> Server::Submit(
   return future;
 }
 
-Result<Server::ResponseFuture> Server::TrySubmit(
-    const std::string& model, Tensor input,
-    std::optional<int64_t> slo_us) {
-  Result<Request> request = MakeRequest(model, std::move(input));
-  if (!request.ok()) return request.status();
-  auto it = models_.find(model);
-  const int64_t slo = slo_us.has_value() ? *slo_us : it->second.slo_us;
-  if (slo < 0) {
-    return Status::InvalidArgument(
-        StrCat("negative slo_us ", slo, " for model ", model));
-  }
-  ResponseFuture future = request->promise.get_future();
-  if (slo > 0) {
-    Status verdict = scheduler_.Admit(model, request->rows(),
-                                      static_cast<double>(slo));
-    if (!verdict.ok()) return verdict;
-    request->deadline_us = clock_->NowUs() + static_cast<double>(slo);
-  }
-  if (!scheduler_.TryPush(*request)) {
-    if (scheduler_.is_shutdown()) {
-      return Status::FailedPrecondition("server is shut down");
-    }
-    static metrics::Counter& shed = metrics::Registry::Global().GetCounter(
-        "serve.request.shed");
-    shed.Increment();
-    return MakeRejected(
-        RejectReason::kQueueFull,
-        StrCat("request queue is full (capacity ", scheduler_.capacity(),
-               ")"));
-  }
-  return future;
-}
-
 }  // namespace serve
 }  // namespace bolt

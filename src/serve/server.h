@@ -46,8 +46,8 @@ namespace serve {
 
 struct ServerOptions {
   /// Bound on queued (not yet batched) requests across all models;
-  /// Submit blocks (no-SLO requests) or fast-fails (SLO requests) and
-  /// TrySubmit fails when it is reached.
+  /// Submit blocks (no-SLO requests) or fast-fails (SLO requests) when
+  /// it is reached.
   size_t queue_capacity = 256;
   /// Bound on cached compiled engines across all models and buckets.
   size_t engine_cache_capacity = 8;
@@ -95,11 +95,6 @@ class Server {
   Result<ResponseFuture> Submit(const std::string& model, Tensor input,
                                 std::optional<int64_t> slo_us =
                                     std::nullopt);
-
-  /// Non-blocking Submit: kResourceExhausted when the queue is full.
-  Result<ResponseFuture> TrySubmit(const std::string& model, Tensor input,
-                                   std::optional<int64_t> slo_us =
-                                       std::nullopt);
 
   /// Synchronously compiles every registered model's bucket ladder
   /// through the single-flight registry (tests, benches, warm restarts).

@@ -256,6 +256,12 @@ TEST(ActivationAccuracyTest, GeluMatchesTheDoubleFormula) {
   }
   EXPECT_EQ(ApplyActivation(ActivationKind::kGelu, 0.0f), 0.0f);
   EXPECT_TRUE(std::signbit(ApplyActivation(ActivationKind::kGelu, -0.0f)));
+  // The limits at the infinities: +inf, and -0 (not -inf/inf = NaN).
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(ApplyActivation(ActivationKind::kGelu, inf), inf);
+  const float gelu_neg_inf = ApplyActivation(ActivationKind::kGelu, -inf);
+  EXPECT_EQ(gelu_neg_inf, 0.0f);
+  EXPECT_TRUE(std::signbit(gelu_neg_inf));
   EXPECT_TRUE(std::isnan(ApplyActivation(
       ActivationKind::kGelu, std::numeric_limits<float>::quiet_NaN())));
 }

@@ -422,13 +422,14 @@ TEST(TunedRegistryTest, ReferenceBackendNeverSeesTunedBlocks) {
                    .has_value());
   // Belt and braces: the oracle's interpreter options opt out wholesale.
   EXPECT_FALSE(RefExecutor::ReferenceOptions().use_tuned_blocks);
-  // FindTunedBlock (the execution-path entry) honors the process-wide
-  // backend selection.
+  // The execution-path lookup under the process-wide backend selection
+  // (what every interpreter launch passes) honors it.
   const bool expect_hit =
       cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu;
-  EXPECT_EQ(
-      cpukernels::FindTunedBlock(TunedKind::kGemm, 5, 6, 7).has_value(),
-      expect_hit);
+  EXPECT_EQ(cpukernels::FindTunedBlockNearBatch(TunedKind::kGemm, 5, 6, 7,
+                                                cpukernels::DefaultBackend())
+                .has_value(),
+            expect_hit);
   cpukernels::ClearTunedBlocks();
 }
 

@@ -1,10 +1,10 @@
 // Tests for persistent (back-to-back) kernels: threadblock residence,
-// RF- vs shared-memory-resident strategies, exact functional equivalence
-// with the unfused pipeline, and the performance invariants of Table 1/2.
+// RF- vs shared-memory-resident strategies, and the performance invariants
+// of Table 1/2.  Fused execution is the engine's KernelStep; test_engine
+// pins it bit-identical to the unfused graph.
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "cutlite/b2b.h"
 #include "models/workloads.h"
 
@@ -13,14 +13,6 @@ namespace cutlite {
 namespace {
 
 const DeviceSpec kT4 = DeviceSpec::TeslaT4();
-
-Tensor RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
-  Tensor t(TensorDesc(DType::kFloat16, {rows, cols}, Layout::kRowMajor));
-  Rng rng(seed);
-  rng.FillNormal(t.data(), 0.3f);
-  t.Quantize();
-  return t;
-}
 
 KernelConfig StageConfig(int tb_m, int tb_n, int warp_m, int warp_n,
                          int k_align = 8, int n_align = 8) {
@@ -83,37 +75,6 @@ TEST(ResidenceTest, SingleStageRejected) {
   EXPECT_FALSE(CheckThreadblockResidenceGemm(one).ok());
 }
 
-TEST(B2bGemmTest, FusedMatchesUnfusedExactly) {
-  auto stages = MakeStages();
-  auto kernel =
-      B2bGemmKernel::Create(stages, ResidenceKind::kRegisterFile, kT4);
-  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-
-  Tensor a0 = RandomMatrix(512, 128, 31);
-  Tensor w0 = RandomMatrix(64, 128, 32);
-  Tensor w1 = RandomMatrix(32, 64, 33);
-  auto fused = kernel->Run(a0, {&w0, &w1}, {nullptr, nullptr});
-  ASSERT_TRUE(fused.ok());
-
-  // Unfused: run the two stage kernels sequentially.
-  GemmKernel k0(stages[0].problem, stages[0].config, stages[0].epilogue);
-  GemmKernel k1(stages[1].problem, stages[1].config, stages[1].epilogue);
-  GemmArguments args0;
-  args0.a = &a0;
-  args0.w = &w0;
-  auto d0 = k0.Run(args0);
-  ASSERT_TRUE(d0.ok());
-  GemmArguments args1;
-  args1.a = &d0.value();
-  args1.w = &w1;
-  auto d1 = k1.Run(args1);
-  ASSERT_TRUE(d1.ok());
-
-  // The persistent kernel quantizes the intermediate to FP16 exactly as
-  // the unfused pipeline stores it, so results match bit-for-bit.
-  EXPECT_EQ(fused.value().MaxAbsDiff(d1.value()), 0.0f);
-}
-
 TEST(B2bGemmTest, FusedFasterThanUnfusedOnMemoryBoundChain) {
   auto stages = MakeStages();
   // Large M makes the chain memory-bound — the paper's target regime.
@@ -171,15 +132,7 @@ TEST(B2bGemmTest, ThreeStageChain) {
   auto kernel =
       B2bGemmKernel::Create(stages, ResidenceKind::kRegisterFile, kT4);
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-
-  Tensor a0 = RandomMatrix(1024, 32, 41);
-  Tensor w0 = RandomMatrix(64, 32, 42);
-  Tensor w1 = RandomMatrix(32, 64, 43);
-  Tensor w2 = RandomMatrix(16, 32, 44);
-  auto fused = kernel->Run(a0, {&w0, &w1, &w2},
-                           {nullptr, nullptr, nullptr});
-  ASSERT_TRUE(fused.ok());
-  EXPECT_EQ(fused.value().shape(), (std::vector<int64_t>{1024, 16}));
+  EXPECT_EQ(kernel->stages().size(), 3u);
 }
 
 // ---- Conv fusion ----------------------------------------------------------
@@ -217,35 +170,6 @@ TEST(B2bConvTest, ResidenceRequiresChannelChaining) {
   auto stages = MakeConvStages();
   stages[1].problem.c = 32;
   EXPECT_FALSE(CheckThreadblockResidenceConv(stages).ok());
-}
-
-TEST(B2bConvTest, FusedMatchesUnfusedExactly) {
-  auto stages = MakeConvStages();
-  auto kernel =
-      B2bConvKernel::Create(stages, ResidenceKind::kRegisterFile, kT4);
-  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-
-  Rng rng(51);
-  Tensor x(TensorDesc(DType::kFloat16, {1, 8, 8, 8}, Layout::kNHWC));
-  rng.FillNormal(x.data(), 0.3f);
-  x.Quantize();
-  Tensor w0(TensorDesc(DType::kFloat16, {16, 3, 3, 8}, Layout::kAny));
-  rng.FillNormal(w0.data(), 0.3f);
-  w0.Quantize();
-  Tensor w1(TensorDesc(DType::kFloat16, {16, 1, 1, 16}, Layout::kAny));
-  rng.FillNormal(w1.data(), 0.3f);
-  w1.Quantize();
-
-  auto fused = kernel->Run(x, {&w0, &w1}, {nullptr, nullptr});
-  ASSERT_TRUE(fused.ok());
-
-  Conv2dKernel k0(stages[0].problem, stages[0].config, stages[0].epilogue);
-  Conv2dKernel k1(stages[1].problem, stages[1].config, stages[1].epilogue);
-  auto d0 = k0.Run(x, w0);
-  ASSERT_TRUE(d0.ok());
-  auto d1 = k1.Run(d0.value(), w1);
-  ASSERT_TRUE(d1.ok());
-  EXPECT_EQ(fused.value().MaxAbsDiff(d1.value()), 0.0f);
 }
 
 TEST(B2bConvTest, PaperWorkloadsAreFeasibleAndBeneficialWhenAligned) {

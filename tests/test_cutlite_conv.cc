@@ -2,33 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "cutlite/conv.h"
-#include "ir/interpreter.h"
 
 namespace bolt {
 namespace cutlite {
 namespace {
 
 const DeviceSpec kT4 = DeviceSpec::TeslaT4();
-
-Tensor RandomNhwc(int64_t n, int64_t h, int64_t w, int64_t c,
-                  uint64_t seed) {
-  Tensor t(TensorDesc(DType::kFloat16, {n, h, w, c}, Layout::kNHWC));
-  Rng rng(seed);
-  rng.FillNormal(t.data(), 0.3f);
-  t.Quantize();
-  return t;
-}
-
-Tensor RandomWeight(int64_t k, int64_t r, int64_t s, int64_t c,
-                    uint64_t seed) {
-  Tensor t(TensorDesc(DType::kFloat16, {k, r, s, c}, Layout::kAny));
-  Rng rng(seed);
-  rng.FillNormal(t.data(), 0.3f);
-  t.Quantize();
-  return t;
-}
 
 KernelConfig SmallConfig() {
   KernelConfig c;
@@ -74,77 +54,6 @@ TEST(ConvProblemTest, PointwiseDetection) {
   p.stride_h = 1;
   p.pad_h = 1;
   EXPECT_FALSE(p.IsPointwise());
-}
-
-struct ConvCase {
-  int64_t n, h, w, c, k, rs, stride, pad;
-};
-
-class ConvFunctionalTest : public ::testing::TestWithParam<ConvCase> {};
-
-TEST_P(ConvFunctionalTest, MatchesReference) {
-  const ConvCase& cc = GetParam();
-  ConvProblem p;
-  p.n = cc.n;
-  p.h = cc.h;
-  p.w = cc.w;
-  p.c = cc.c;
-  p.k = cc.k;
-  p.r = p.s = cc.rs;
-  p.stride_h = p.stride_w = cc.stride;
-  p.pad_h = p.pad_w = cc.pad;
-
-  Tensor x = RandomNhwc(p.n, p.h, p.w, p.c, 11);
-  Tensor w = RandomWeight(p.k, p.r, p.s, p.c, 12);
-
-  KernelConfig cfg = SmallConfig();
-  cfg.align_a = cfg.align_b = MaxAlignment(p.c);
-  cfg.align_c = MaxAlignment(p.k);
-  Conv2dKernel kernel(p, cfg, EpilogueSpec::Linear());
-  auto out = kernel.Run(x, w);
-  ASSERT_TRUE(out.ok());
-
-  Conv2dAttrs attrs;
-  attrs.stride_h = attrs.stride_w = cc.stride;
-  attrs.pad_h = attrs.pad_w = cc.pad;
-  Tensor ref = refop::Conv2d(x, w, attrs);
-  EXPECT_LE(out.value().MaxAbsDiff(ref), 1e-2f);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvFunctionalTest,
-    ::testing::Values(ConvCase{1, 8, 8, 8, 16, 3, 1, 1},
-                      ConvCase{2, 7, 9, 4, 8, 3, 2, 1},
-                      ConvCase{1, 6, 6, 16, 16, 1, 1, 0},   // pointwise
-                      ConvCase{2, 12, 12, 3, 8, 5, 2, 2},
-                      ConvCase{1, 5, 5, 2, 4, 3, 1, 0}));
-
-TEST(ConvKernelTest, BiasAndActivationEpilogue) {
-  ConvProblem p;
-  p.n = 1;
-  p.h = p.w = 6;
-  p.c = 8;
-  p.k = 8;
-  p.r = p.s = 3;
-  p.pad_h = p.pad_w = 1;
-  Tensor x = RandomNhwc(1, 6, 6, 8, 21);
-  Tensor w = RandomWeight(8, 3, 3, 8, 22);
-  Tensor bias(TensorDesc(DType::kFloat16, {8}, Layout::kRowMajor));
-  Rng rng(23);
-  rng.FillNormal(bias.data(), 0.5f);
-  bias.Quantize();
-
-  Conv2dKernel kernel(p, SmallConfig(),
-                      EpilogueSpec::WithActivation(
-                          ActivationKind::kHardswish));
-  auto out = kernel.Run(x, w, &bias);
-  ASSERT_TRUE(out.ok());
-  Conv2dAttrs attrs;
-  attrs.pad_h = attrs.pad_w = 1;
-  Tensor ref = refop::Activation(
-      refop::BiasAdd(refop::Conv2d(x, w, attrs), bias),
-      ActivationKind::kHardswish);
-  EXPECT_LE(out.value().MaxAbsDiff(ref), 2e-2f);
 }
 
 TEST(ConvKernelTest, RejectsMisalignedChannels) {

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "bolt/engine.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "cpukernels/cpuinfo.h"
+#include "cpukernels/tuned.h"
 #include "ir/interpreter.h"
 #include "models/zoo.h"
 #include "testing/diff_harness.h"
@@ -490,6 +493,159 @@ TEST(EngineTest, LaunchRecordsReferenceOptimizedNodes) {
   double sum = 0.0;
   for (const auto& l : engine->module().launches()) sum += l.estimated_us;
   EXPECT_NEAR(sum, engine->EstimatedLatencyUs(), 1e-9);
+}
+
+// ---- bolt.* composites run as interpreter KernelSteps ---------------------
+
+std::map<std::string, Tensor> RandomInputsFor(const Graph& g, uint64_t seed) {
+  std::map<std::string, Tensor> in;
+  for (NodeId id : g.input_ids()) {
+    in[g.node(id).name] = difftest::RandomTensor(g.node(id).out_desc, seed++);
+  }
+  return in;
+}
+
+// The one node of `kind` in the engine's optimized graph.
+const Node& OnlyNodeOfKind(const Engine& engine, OpKind kind) {
+  const Node* found = nullptr;
+  for (const Node& n : engine.optimized_graph().nodes()) {
+    if (n.kind != kind) continue;
+    EXPECT_EQ(found, nullptr) << "more than one " << OpKindName(kind);
+    found = &n;
+  }
+  BOLT_CHECK_MSG(found != nullptr, "no " << OpKindName(kind) << " node");
+  return *found;
+}
+
+int64_t TunedHits() {
+  return metrics::Registry::Global()
+      .GetCounter("cpu.tuned.lookup.hit")
+      .value();
+}
+
+// Registers a valid non-default block for the problem of the one `kind`
+// composite in `g`'s compiled form: Run must look it up (one hit) and
+// still match the registry-miss run bit for bit.
+void ExpectTunedHitMatchesMiss(const Graph& g, OpKind kind) {
+  cpukernels::ClearTunedBlocks();
+  auto engine = Engine::Compile(g, CompileOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Graph& og = engine->optimized_graph();
+  const Node& n = OnlyNodeOfKind(*engine, kind);
+  const std::vector<int64_t>& out = n.out_desc.shape;
+  const std::vector<int64_t>& w = og.node(n.inputs[1]).out_desc.shape;
+  const bool conv = kind == OpKind::kBoltConv2d;
+  const int64_t m = conv ? out[0] * out[1] * out[2] : out[0];
+  const int64_t cols = conv ? out[3] : out[1];
+  const int64_t depth = conv ? w[1] * w[2] * w[3] : w[1];
+
+  const auto in = RandomInputsFor(g, 91);
+  auto miss = engine->Run(in);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  // The default block is 64x4096/kc256, so this one is observably
+  // different; the hit proves the registry entry is the one consulted.
+  auto tuned = cpukernels::BlockConfig::Make(8, 16, 8);
+  ASSERT_TRUE(tuned.ok());
+  ASSERT_TRUE(cpukernels::RegisterTunedBlock(
+      conv ? cpukernels::TunedKind::kConv : cpukernels::TunedKind::kGemm, m,
+      cols, depth, tuned.value(),
+      conv ? Layout::kNHWC : Layout::kRowMajor));
+  const int64_t hits0 = TunedHits();
+  auto hit = engine->Run(in);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(TunedHits(), hits0 + 1) << OpKindName(kind);
+  ExpectSameOutputs(*hit, *miss, StrCat(OpKindName(kind), " tuned hit"));
+  cpukernels::ClearTunedBlocks();
+}
+
+TEST(EngineCompositeTest, CompositesConsultTheTunedRegistry) {
+  if (cpukernels::DefaultBackend() != cpukernels::Backend::kFastCpu) {
+    GTEST_SKIP() << "the reference backend never reads the registry";
+  }
+  GraphBuilder gb(DType::kFloat16, Layout::kRowMajor);
+  NodeId x = gb.Input("x", {32, 128}, Layout::kRowMajor);
+  NodeId y = gb.Dense(x, gb.Constant("w", RandomWeight({64, 128}, 71)));
+  y = gb.BiasAdd(y, gb.Constant("b", RandomWeight({64}, 72)));
+  gb.MarkOutput(gb.Activation(y, ActivationKind::kRelu));
+  ExpectTunedHitMatchesMiss(gb.Build().value(), OpKind::kBoltGemm);
+
+  GraphBuilder cb(DType::kFloat16, Layout::kNHWC);
+  x = cb.Input("x", {1, 6, 6, 16});
+  Conv2dAttrs a;
+  a.pad_h = a.pad_w = 1;
+  y = cb.Conv2d(x, cb.Constant("w", RandomWeight({24, 3, 3, 16}, 73)), a);
+  y = cb.BiasAdd(y, cb.Constant("b", RandomWeight({24}, 74)));
+  cb.MarkOutput(cb.Activation(y, ActivationKind::kRelu));
+  ExpectTunedHitMatchesMiss(cb.Build().value(), OpKind::kBoltConv2d);
+}
+
+// A persistent kernel runs its stages back to back on the host kernels,
+// so it must equal the same graph compiled without persistent fusion bit
+// for bit: each stage quantizes its output exactly as the unfused kernel
+// stores it.
+void ExpectFusedMatchesUnfused(const Graph& g, OpKind fused_kind) {
+  auto fused = Engine::Compile(g, CompileOptions{});
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  EXPECT_EQ(OnlyNodeOfKind(*fused, fused_kind).attrs.GetInt("stages"), 2);
+  CompileOptions no_fusion;
+  no_fusion.enable_persistent_fusion = false;
+  auto unfused = Engine::Compile(g, no_fusion);
+  ASSERT_TRUE(unfused.ok()) << unfused.status().ToString();
+  for (const Node& n : unfused->optimized_graph().nodes()) {
+    EXPECT_NE(n.kind, fused_kind);
+  }
+  const auto in = RandomInputsFor(g, 93);
+  auto want = unfused->Run(in);
+  auto got = fused->Run(in);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameOutputs(*got, *want, OpKindName(fused_kind));
+}
+
+TEST(EngineCompositeTest, B2bGemmMatchesUnfusedExactly) {
+  // The memory-bound dense -> relu -> dense -> relu chain of Table 1.
+  GraphBuilder b(DType::kFloat16, Layout::kRowMajor);
+  NodeId x = b.Input("x", {16384, 256}, Layout::kRowMajor);
+  x = b.Activation(b.Dense(x, b.Constant("w0", RandomWeight({64, 256}, 81))),
+                   ActivationKind::kRelu);
+  x = b.Activation(b.Dense(x, b.Constant("w1", RandomWeight({16, 64}, 82))),
+                   ActivationKind::kRelu);
+  b.MarkOutput(x);
+  ExpectFusedMatchesUnfused(b.Build().value(), OpKind::kBoltB2BGemm);
+}
+
+TEST(EngineCompositeTest, B2bConvMatchesUnfusedExactly) {
+  // conv0 (3x3) + conv1 (1x1) of the small CNN fuse persistently.
+  ExpectFusedMatchesUnfused(BuildSmallCnn(), OpKind::kBoltB2BConv);
+}
+
+TEST(EngineCompositeTest, MovedEngineRunsConcurrentlyBitExactly) {
+  // The interpreter built at Compile refers to the engine's graph; moving
+  // the engine (a vector reallocation, then into a shared_ptr) must keep
+  // that reference valid, and one const engine serves concurrent callers.
+  std::vector<Engine> engines;
+  engines.reserve(1);
+  engines.push_back(Engine::Compile(BuildSmallCnn(), CompileOptions{}).value());
+  const std::map<std::string, Tensor> inputs{{"data", RandomInput(31)}};
+  auto first = engines[0].Run(inputs);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  engines.push_back(Engine::Compile(BuildSmallCnn(), CompileOptions{}).value());
+  const auto shared = std::make_shared<const Engine>(std::move(engines[0]));
+  engines.clear();
+
+  std::vector<Result<std::vector<Tensor>>> outs(4,
+                                                Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (auto& slot : outs) {
+    threads.emplace_back([&slot, &shared, &inputs] {
+      slot = shared->Run(inputs);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& out : outs) {
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ExpectSameOutputs(*out, *first, "moved engine run");
+  }
 }
 
 }  // namespace

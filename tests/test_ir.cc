@@ -274,9 +274,9 @@ TEST(PartitionTest, DiamondAcrossUnsupportedNodeDoesNotMergeRegions) {
   // execution order.  The reachability guard must open a fresh region.
   //
   //      c1 (conv, supported)
-  //     /  \
-  //    |    p (maxpool k=1 s=1, unsupported, shape-preserving)
-  //     \  /
+  //      |  \ (feeds the pool)
+  //      |   p (maxpool k=1 s=1, unsupported, shape-preserving)
+  //      |  /
   //      y = add (supported)
   GraphBuilder b;
   NodeId x = b.Input("x", {1, 8, 8, 16});

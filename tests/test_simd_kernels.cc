@@ -787,6 +787,12 @@ TEST(SimdPackEqualityTest, GeluSigmoidEpilogueMatchesScalarOnSpecials) {
           EXPECT_EQ(std::memcmp(&want, &got[i], sizeof(float)), 0)
               << "x=" << xs[i] << " scalar=" << want << " simd=" << got[i];
         }
+        if (act == ActivationKind::kGelu) {
+          // GELU(-inf) is its limit -0 on both paths, not -inf/inf = NaN.
+          ASSERT_EQ(xs[3], -inf);
+          EXPECT_EQ(got[3], 0.0f);
+          EXPECT_TRUE(std::signbit(got[3]));
+        }
       }
     }
   }
