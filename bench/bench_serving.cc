@@ -512,15 +512,8 @@ int main(int argc, char** argv) {
   }
   // Warm the engine cache so the closed loop measures serving, not
   // first-compile latency.
-  for (int64_t b : buckets) {
-    auto warm = server.registry().GetOrCompile(
-        "mlp", b, [](int64_t batch) -> Result<Engine> {
-          auto g = BuildMlp(batch);
-          if (!g.ok()) return g.status();
-          return Engine::Compile(*g, CompileOptions{});
-        });
-    BOLT_CHECK(warm.ok());
-  }
+  const serve::PrewarmStats warm = server.Prewarm();
+  BOLT_CHECK(warm.failed == 0);
 
   const ModeResult batched = RunClosedLoop(server, clients, per_client);
   PrintMode(batched);

@@ -159,22 +159,6 @@ std::optional<TunedNeighbor> FindTunedBlockNearShape(TunedKind kind,
   return best;
 }
 
-std::vector<int64_t> TunedBatchSizes(TunedKind kind, int64_t n, int64_t k,
-                                     Layout layout) {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<int64_t> sizes;
-  for (const auto& [key, block] : r.blocks) {
-    if (std::get<0>(key) != static_cast<int>(kind)) continue;
-    if (std::get<1>(key) != static_cast<int>(layout)) continue;
-    if (std::get<3>(key) == n && std::get<4>(key) == k) {
-      sizes.push_back(std::get<2>(key));
-    }
-  }
-  // Map iteration on (kind, layout, m, n, k) keys yields ascending m.
-  return sizes;
-}
-
 int64_t TunedBlockCount() {
   Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "cpukernels/backend.h"
 #include "cpukernels/config.h"
@@ -88,20 +87,13 @@ struct TunedNeighbor {
 /// nearest to (m, n, k) under per-axis log2 distance, any batch/cols/depth
 /// (generalizing FindTunedBlockNearBatch's same-(n, k) constraint to the
 /// full shape space).  Ties break toward the smallest registered key, so
-/// results are deterministic.  Like TunedBatchSizes this is a tuning-time
-/// policy query, not an execution-time lookup: it is not backend-gated and
-/// feeds no `cpu.tuned.lookup.*` counter — the profiler counts transfer
-/// seeds under `cpu.tune.ranked.seeded` instead.
+/// results are deterministic.  This is a tuning-time policy query, not an
+/// execution-time lookup: it is not backend-gated and feeds no
+/// `cpu.tuned.lookup.*` counter — the profiler counts transfer seeds
+/// under `cpu.tune.ranked.seeded` instead.
 std::optional<TunedNeighbor> FindTunedBlockNearShape(
     TunedKind kind, int64_t m, int64_t n, int64_t k,
     Layout layout = Layout::kRowMajor);
-
-/// The distinct batch sizes (m dims) with a tuned block registered for
-/// problem columns/depth (n, k) — ascending.  The serving layer's bucket
-/// policy rounds partial batches up onto this set.  Not backend-gated:
-/// it is a shape policy query, not a numeric one.
-std::vector<int64_t> TunedBatchSizes(TunedKind kind, int64_t n, int64_t k,
-                                     Layout layout = Layout::kRowMajor);
 
 /// Number of registered entries (tests / diagnostics).
 int64_t TunedBlockCount();

@@ -198,7 +198,8 @@ std::string B2bGemmKernel::Name() const {
   std::string name =
       StrCat("cutlite_tensorop_h_b2b_gemm_", ResidenceName(residence_));
   for (const B2bStage& s : stages_) {
-    name += "_" + s.config.threadblock.ToString();
+    name += '_';
+    name += s.config.threadblock.ToString();
   }
   return name;
 }
@@ -328,7 +329,8 @@ std::string B2bConvKernel::Name() const {
   std::string name =
       StrCat("cutlite_tensorop_h_b2b_conv2d_", ResidenceName(residence_));
   for (const B2bConvStage& s : stages_) {
-    name += "_" + s.config.threadblock.ToString();
+    name += '_';
+    name += s.config.threadblock.ToString();
   }
   return name;
 }

@@ -547,15 +547,21 @@ Status Interpreter::RunNode(const Node& n,
       if (it == inputs.end()) {
         return Status::InvalidArgument("missing input tensor: " + n.name);
       }
-      // Kernels (and fused epilogue pointers) are sized from the declared
-      // descs, so a mis-shaped tensor must be refused here.
-      if (it->second.shape() != n.out_desc.shape) {
+      // Kernels (and fused epilogue pointers) are sized, typed and indexed
+      // from the declared descs, so a tensor of another shape or dtype, or
+      // a rank-4 activation in another concrete layout, is refused here.
+      // An unlabelled (kAny) tensor is taken in the declared layout.
+      const TensorDesc& got = it->second.desc();
+      const bool layout_clash = got.rank() == 4 &&
+                                got.layout != Layout::kAny &&
+                                got.layout != n.out_desc.layout;
+      if (got.shape != n.out_desc.shape || got.dtype != n.out_desc.dtype ||
+          layout_clash) {
         return Status::InvalidArgument(
-            StrCat("input tensor ", n.name, " has shape ",
-                   it->second.desc().ToString(), ", graph declares ",
-                   n.out_desc.ToString()));
+            StrCat("input tensor ", n.name, " is ", got.ToString(),
+                   ", graph declares ", n.out_desc.ToString()));
       }
-      env[n.id] = it->second;
+      env[n.id] = Tensor(n.out_desc, it->second.data());
       env[n.id].Quantize();
       break;
     }

@@ -498,99 +498,43 @@ bool Profiler::TryClaimFlight(const std::string& key) {
   return false;
 }
 
-namespace {
-
-/// Copies `key`'s entry from `cache` into `*hit` (marked as a cache hit)
-/// under a read lock on `mu`; false on a miss.
-template <typename R>
-bool FindCached(std::shared_mutex& mu, const std::map<std::string, R>& cache,
-                const std::string& key, R* hit) {
-  std::shared_lock<std::shared_mutex> read(mu);
-  auto it = cache.find(key);
-  if (it == cache.end()) return false;
-  *hit = it->second;
-  hit->cache_hit = true;
-  return true;
-}
-
-}  // namespace
-
-// The three admissions below re-check the cache after claiming a flight:
-// an owner publishes to the cache before it releases the key, so a thread
-// that missed the cache just before that publish and claimed the key just
+// Admission re-checks the cache after claiming a flight: an owner
+// publishes to the cache before it releases the key, so a thread that
+// missed the cache just before that publish and claimed the key just
 // after it finds the result there instead of profiling the workload again.
-
-bool Profiler::LookupOrBeginFlight(const std::string& key,
-                                   ProfileResult* hit) {
-  ProfilerInstruments& im = ProfilerInstruments::Get();
+template <typename R>
+bool Profiler::LookupOrBeginFlight(const std::map<std::string, R>& cache,
+                                   const std::string& key, R* hit,
+                                   metrics::Counter& hits,
+                                   metrics::Counter& misses) {
   for (bool claimed = false;; claimed = TryClaimFlight(key)) {
-    if (FindCached(cache_mu_, cache_, key, hit)) {
+    bool found = false;
+    {
+      std::shared_lock<std::shared_mutex> read(cache_mu_);
+      auto it = cache.find(key);
+      if (it != cache.end()) {
+        *hit = it->second;
+        hit->cache_hit = found = true;
+      }
+    }
+    if (found) {
       if (claimed) AbandonFlight(key);
-      im.cache_hits.Increment();
+      hits.Increment();
       return true;
     }
     if (claimed) {
-      im.cache_misses.Increment();
+      misses.Increment();
       return false;
     }
   }
 }
 
-bool Profiler::LookupOrBeginFlightB2b(const std::string& key,
-                                      B2bProfileResult* hit) {
-  ProfilerInstruments& im = ProfilerInstruments::Get();
-  for (bool claimed = false;; claimed = TryClaimFlight(key)) {
-    if (FindCached(cache_mu_, b2b_cache_, key, hit)) {
-      if (claimed) AbandonFlight(key);
-      im.cache_hits.Increment();
-      return true;
-    }
-    if (claimed) {
-      im.cache_misses.Increment();
-      return false;
-    }
-  }
-}
-
-bool Profiler::LookupOrBeginFlightCpu(const std::string& key,
-                                      CpuProfileResult* hit) {
-  CpuTuneInstruments& im = CpuTuneInstruments::Get();
-  for (bool claimed = false;; claimed = TryClaimFlight(key)) {
-    if (FindCached(cache_mu_, cpu_cache_, key, hit)) {
-      if (claimed) AbandonFlight(key);
-      im.cache_hits.Increment();
-      return true;
-    }
-    if (claimed) {
-      im.cache_misses.Increment();
-      return false;
-    }
-  }
-}
-
-void Profiler::PublishResult(const std::string& key,
-                             const ProfileResult& result) {
+template <typename R>
+void Profiler::PublishResult(std::map<std::string, R>& cache,
+                             const std::string& key, const R& result) {
   {
     std::unique_lock<std::shared_mutex> write(cache_mu_);
-    cache_[key] = result;
-  }
-  AbandonFlight(key);
-}
-
-void Profiler::PublishResultB2b(const std::string& key,
-                                const B2bProfileResult& result) {
-  {
-    std::unique_lock<std::shared_mutex> write(cache_mu_);
-    b2b_cache_[key] = result;
-  }
-  AbandonFlight(key);
-}
-
-void Profiler::PublishResultCpu(const std::string& key,
-                                const CpuProfileResult& result) {
-  {
-    std::unique_lock<std::shared_mutex> write(cache_mu_);
-    cpu_cache_[key] = result;
+    cache[key] = result;
   }
   AbandonFlight(key);
 }
@@ -609,7 +553,11 @@ Result<ProfileResult> Profiler::ProfileGemm(const GemmCoord& problem,
       StrCat("gemm/", problem.ToString(), "/", epilogue.ToString(), "/",
              spec_.arch);
   ProfileResult cached;
-  if (LookupOrBeginFlight(key, &cached)) return cached;
+  ProfilerInstruments& im = ProfilerInstruments::Get();
+  if (LookupOrBeginFlight(cache_, key, &cached, im.cache_hits,
+                          im.cache_misses)) {
+    return cached;
+  }
   EnsureArchPrepared();  // sample-program generation: only when measuring
 
   const std::vector<KernelConfig> candidates =
@@ -645,7 +593,6 @@ Result<ProfileResult> Profiler::ProfileGemm(const GemmCoord& problem,
     }
   }
   ChargeMeasurements(key, measured);
-  ProfilerInstruments& im = ProfilerInstruments::Get();
   im.candidates_enumerated.Increment(n);
   im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
   if (best.candidates_tried == 0) {
@@ -655,7 +602,7 @@ Result<ProfileResult> Profiler::ProfileGemm(const GemmCoord& problem,
   }
   im.workloads_profiled.Increment();
   im.workload_best_us.Observe(best.us);
-  PublishResult(key, best);
+  PublishResult(cache_, key, best);
   return best;
 }
 
@@ -665,7 +612,11 @@ Result<ProfileResult> Profiler::ProfileConv(
       StrCat("conv/", problem.ToString(), "/", epilogue.ToString(), "/",
              spec_.arch);
   ProfileResult cached;
-  if (LookupOrBeginFlight(key, &cached)) return cached;
+  ProfilerInstruments& im = ProfilerInstruments::Get();
+  if (LookupOrBeginFlight(cache_, key, &cached, im.cache_hits,
+                          im.cache_misses)) {
+    return cached;
+  }
   EnsureArchPrepared();
 
   const std::vector<KernelConfig> candidates =
@@ -699,7 +650,6 @@ Result<ProfileResult> Profiler::ProfileConv(
     }
   }
   ChargeMeasurements(key, measured);
-  ProfilerInstruments& im = ProfilerInstruments::Get();
   im.candidates_enumerated.Increment(n);
   im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
   if (best.candidates_tried == 0) {
@@ -709,7 +659,7 @@ Result<ProfileResult> Profiler::ProfileConv(
   }
   im.workloads_profiled.Increment();
   im.workload_best_us.Observe(best.us);
-  PublishResult(key, best);
+  PublishResult(cache_, key, best);
   return best;
 }
 
@@ -719,7 +669,9 @@ Result<CpuProfileResult> Profiler::RunCpuSweep(
     const std::vector<cpukernels::BlockConfig>& candidates,
     const std::function<double(const cpukernels::BlockConfig&)>& measure) {
   CpuProfileResult cached;
-  if (LookupOrBeginFlightCpu(key, &cached)) {
+  CpuTuneInstruments& im = CpuTuneInstruments::Get();
+  if (LookupOrBeginFlight(cpu_cache_, key, &cached, im.cache_hits,
+                          im.cache_misses)) {
     // Re-assert the registry entry so a cache hit alone (e.g. a loaded
     // file, or a second compile after ClearTunedBlocks in tests) restores
     // execution-time selection with zero re-measurement.
@@ -735,7 +687,6 @@ Result<CpuProfileResult> Profiler::RunCpuSweep(
   trace::TraceSink& sink = trace::TraceSink::Global();
   const double t0_us = sink.enabled() ? sink.NowUs() : 0.0;
   const auto wall0 = std::chrono::steady_clock::now();
-  CpuTuneInstruments& im = CpuTuneInstruments::Get();
 
   // Cross-shape transfer: the nearest already-tuned shape's winning block
   // joins the sweep (if the enumerator did not produce it already).  It is
@@ -865,7 +816,7 @@ Result<CpuProfileResult> Profiler::RunCpuSweep(
   im.best_us.Observe(best.us);
 
   cpukernels::RegisterTunedBlock(kind, m, n, k, best.block, layout);
-  PublishResultCpu(key, best);
+  PublishResult(cpu_cache_, key, best);
   return best;
 }
 
@@ -934,7 +885,11 @@ B2bProfileResult Profiler::ProfileB2bGemm(
   const std::string key =
       StrCat("b2bgemm/", StrJoin(stage_keys, ","), "/", spec_.arch);
   B2bProfileResult cached;
-  if (LookupOrBeginFlightB2b(key, &cached)) return cached;
+  ProfilerInstruments& im = ProfilerInstruments::Get();
+  if (LookupOrBeginFlight(b2b_cache_, key, &cached, im.cache_hits,
+                          im.cache_misses)) {
+    return cached;
+  }
   EnsureArchPrepared();
 
   B2bProfileResult result;
@@ -946,7 +901,7 @@ B2bProfileResult Profiler::ProfileB2bGemm(
     auto r = ProfileGemm(problems[i], epilogues[i]);
     if (!r.ok()) {
       // Infeasible -> not beneficial; publish so repeat queries are free.
-      PublishResultB2b(key, result);
+      PublishResult(b2b_cache_, key, result);
       return result;
     }
     result.unfused_us += r.value().us;
@@ -1005,17 +960,14 @@ B2bProfileResult Profiler::ProfileB2bGemm(
     }
   }
   ChargeMeasurements(key, measured);
-  {
-    ProfilerInstruments& im = ProfilerInstruments::Get();
-    im.candidates_enumerated.Increment(n);
-    im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
-    if (result.feasible) {
-      im.workloads_profiled.Increment();
-      im.workload_best_us.Observe(result.fused_us);
-    }
+  im.candidates_enumerated.Increment(n);
+  im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
+  if (result.feasible) {
+    im.workloads_profiled.Increment();
+    im.workload_best_us.Observe(result.fused_us);
   }
   result.beneficial = result.feasible && result.fused_us < result.unfused_us;
-  PublishResultB2b(key, result);
+  PublishResult(b2b_cache_, key, result);
   return result;
 }
 
@@ -1031,7 +983,11 @@ B2bProfileResult Profiler::ProfileB2bConv(
   const std::string key =
       StrCat("b2bconv/", StrJoin(stage_keys, ","), "/", spec_.arch);
   B2bProfileResult cached;
-  if (LookupOrBeginFlightB2b(key, &cached)) return cached;
+  ProfilerInstruments& im = ProfilerInstruments::Get();
+  if (LookupOrBeginFlight(b2b_cache_, key, &cached, im.cache_hits,
+                          im.cache_misses)) {
+    return cached;
+  }
   EnsureArchPrepared();
 
   B2bProfileResult result;
@@ -1041,7 +997,7 @@ B2bProfileResult Profiler::ProfileB2bConv(
   for (size_t i = 0; i < problems.size(); ++i) {
     auto r = ProfileConv(problems[i], epilogues[i]);
     if (!r.ok()) {
-      PublishResultB2b(key, result);
+      PublishResult(b2b_cache_, key, result);
       return result;
     }
     result.unfused_us += r.value().us;
@@ -1105,17 +1061,14 @@ B2bProfileResult Profiler::ProfileB2bConv(
     }
   }
   ChargeMeasurements(key, measured);
-  {
-    ProfilerInstruments& im = ProfilerInstruments::Get();
-    im.candidates_enumerated.Increment(n);
-    im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
-    if (result.feasible) {
-      im.workloads_profiled.Increment();
-      im.workload_best_us.Observe(result.fused_us);
-    }
+  im.candidates_enumerated.Increment(n);
+  im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
+  if (result.feasible) {
+    im.workloads_profiled.Increment();
+    im.workload_best_us.Observe(result.fused_us);
   }
   result.beneficial = result.feasible && result.fused_us < result.unfused_us;
-  PublishResultB2b(key, result);
+  PublishResult(b2b_cache_, key, result);
   return result;
 }
 

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "cpukernels/config.h"
 #include "cpukernels/tuned.h"
@@ -230,18 +231,19 @@ class Profiler {
   void ChargeMeasurements(const std::string& label,
                           const std::vector<double>& candidate_us);
 
-  /// Single-flight admission for `key`.  Returns true with `*hit` filled
-  /// when another thread already published (or is publishing) the result;
-  /// returns false when the caller owns the flight and must profile, then
+  /// Single-flight admission for `key` in `cache`.  Returns true with
+  /// `*hit` filled (and `hits` counted) when another thread already
+  /// published (or is publishing) the result; returns false (counting
+  /// `misses`) when the caller owns the flight and must profile, then
   /// publish via PublishResult or abandon via AbandonFlight.
-  bool LookupOrBeginFlight(const std::string& key, ProfileResult* hit);
-  bool LookupOrBeginFlightB2b(const std::string& key, B2bProfileResult* hit);
-  bool LookupOrBeginFlightCpu(const std::string& key, CpuProfileResult* hit);
-  void PublishResult(const std::string& key, const ProfileResult& result);
-  void PublishResultB2b(const std::string& key,
-                        const B2bProfileResult& result);
-  void PublishResultCpu(const std::string& key,
-                        const CpuProfileResult& result);
+  template <typename R>
+  bool LookupOrBeginFlight(const std::map<std::string, R>& cache,
+                           const std::string& key, R* hit,
+                           metrics::Counter& hits, metrics::Counter& misses);
+  /// Stores `result` under `key` in `cache`, then releases the flight.
+  template <typename R>
+  void PublishResult(std::map<std::string, R>& cache, const std::string& key,
+                     const R& result);
   void AbandonFlight(const std::string& key);
 
   /// Shared sweep for ProfileCpuGemm/ProfileCpuConv: seeds the candidate

@@ -103,12 +103,8 @@ int64_t DynamicBatcher::ProcessBatch(std::vector<Request> batch) {
                spec.buckets.max_bucket(), ") of model ", model)));
   }
 
-  Result<std::shared_ptr<const Engine>> engine = registry_->GetOrCompile(
-      model, *bucket, [&spec](int64_t batch_size) -> Result<Engine> {
-        Result<Graph> graph = spec.build_graph(batch_size);
-        if (!graph.ok()) return graph.status();
-        return Engine::Compile(*graph, spec.compile);
-      });
+  Result<std::shared_ptr<const Engine>> engine =
+      registry_->GetOrCompile(spec, *bucket);
   if (!engine.ok()) return fail_all(engine.status());
 
   std::vector<Tensor> inputs;

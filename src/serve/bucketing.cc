@@ -6,7 +6,6 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "cpukernels/tuned.h"
 
 namespace bolt {
 namespace serve {
@@ -26,14 +25,6 @@ Result<BucketPolicy> BucketPolicy::Create(std::vector<int64_t> buckets) {
   BucketPolicy p;
   p.buckets_ = std::move(buckets);
   return p;
-}
-
-Result<BucketPolicy> BucketPolicy::FromTunedGemm(
-    int64_t n, int64_t k, std::vector<int64_t> fallback) {
-  std::vector<int64_t> tuned =
-      cpukernels::TunedBatchSizes(cpukernels::TunedKind::kGemm, n, k);
-  if (tuned.empty()) return Create(std::move(fallback));
-  return Create(std::move(tuned));
 }
 
 std::optional<int64_t> BucketPolicy::RoundUp(int64_t rows) const {

@@ -9,10 +9,7 @@
 // executes on the engine compiled for the smallest bucket >= r, with the
 // gap zero-padded (Engine::RunBatch).  This is the paper's kernel-padding
 // idea lifted to whole batches, and mirrors Nautilus-style reuse of a
-// small tuned kernel set across variable-size traffic.  The default
-// bucket set rounds up onto the batch sizes that already have tuned
-// blocks in the process-wide registry (cpukernels/tuned.h), so serving
-// traffic lands exactly on the shapes the autotuner measured.
+// small tuned kernel set across variable-size traffic.
 
 #pragma once
 
@@ -33,14 +30,6 @@ class BucketPolicy {
   /// Validates, sorts and dedupes `buckets`.  Fails on an empty set or a
   /// non-positive bucket.
   static Result<BucketPolicy> Create(std::vector<int64_t> buckets);
-
-  /// Buckets from the tuned-block registry: the batch sizes with a tuned
-  /// GEMM block for problem columns/depth (n, k)
-  /// (cpukernels::TunedBatchSizes).  Falls back to `fallback` when
-  /// nothing is tuned for that problem (e.g. under the reference
-  /// backend's dormant registry).
-  static Result<BucketPolicy> FromTunedGemm(
-      int64_t n, int64_t k, std::vector<int64_t> fallback);
 
   /// Smallest bucket >= rows; nullopt when rows exceeds every bucket
   /// (the request cannot be served) or rows < 1.

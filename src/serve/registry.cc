@@ -10,9 +10,28 @@
 
 #include "common/metrics.h"
 #include "common/strings.h"
+#include "common/trace.h"
 
 namespace bolt {
 namespace serve {
+
+namespace {
+
+/// Runs `body`, turning a thrown exception into an Internal error that
+/// names `what`.  A build or compile that throws (e.g. a BOLT_CHECK deep
+/// in the pipeline) must surface like any failed Status.
+template <typename Body>
+auto Guarded(const std::string& what, Body&& body) -> decltype(body()) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    return Status::Internal(StrCat(what, " threw: ", e.what()));
+  } catch (...) {
+    return Status::Internal(StrCat(what, " threw a non-exception"));
+  }
+}
+
+}  // namespace
 
 std::string EngineRegistry::MakeKey(const std::string& model,
                                     int64_t batch) {
@@ -28,8 +47,14 @@ void EngineRegistry::Touch(const std::string& key) {
   lru_.splice(lru_.begin(), lru_, it->second);
 }
 
+Result<Graph> EngineRegistry::BuildGraph(const ModelSpec& spec,
+                                         int64_t bucket) {
+  return Guarded(StrCat("build_graph for ", MakeKey(spec.name, bucket)),
+                 [&] { return spec.build_graph(bucket); });
+}
+
 Result<std::shared_ptr<const Engine>> EngineRegistry::GetOrCompile(
-    const std::string& model, int64_t batch, const CompileFn& compile) {
+    const ModelSpec& spec, int64_t bucket) {
   static metrics::Counter& hits =
       metrics::Registry::Global().GetCounter("serve.engine.hit");
   static metrics::Counter& misses =
@@ -37,7 +62,7 @@ Result<std::shared_ptr<const Engine>> EngineRegistry::GetOrCompile(
   static metrics::Counter& evictions =
       metrics::Registry::Global().GetCounter("serve.engine.evict");
 
-  const std::string key = MakeKey(model, batch);
+  const std::string key = MakeKey(spec.name, bucket);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     auto cached = index_.find(key);
@@ -66,20 +91,14 @@ Result<std::shared_ptr<const Engine>> EngineRegistry::GetOrCompile(
   misses.Increment();
   lock.unlock();
 
-  // A compile that *throws* (e.g. a BOLT_CHECK deep in the pipeline)
-  // must complete the flight like any failed Status, or every waiter
-  // parks forever on a slot nobody owns.
-  Result<Engine> compiled = [&]() -> Result<Engine> {
-    try {
-      return compile(batch);
-    } catch (const std::exception& e) {
-      return Status::Internal(
-          StrCat("engine compile for ", key, " threw: ", e.what()));
-    } catch (...) {
-      return Status::Internal(
-          StrCat("engine compile for ", key, " threw a non-exception"));
-    }
-  }();
+  // A build or compile that throws must complete the flight like any
+  // failed Status, or every waiter parks forever on a slot nobody owns.
+  Result<Engine> compiled =
+      Guarded(StrCat("engine compile for ", key), [&]() -> Result<Engine> {
+        Result<Graph> graph = BuildGraph(spec, bucket);
+        if (!graph.ok()) return graph.status();
+        return Engine::Compile(*graph, spec.compile);
+      });
 
   lock.lock();
   inflight_.erase(key);
@@ -102,6 +121,38 @@ Result<std::shared_ptr<const Engine>> EngineRegistry::GetOrCompile(
   flight->done = true;
   flight->cv.notify_all();
   return engine;
+}
+
+PrewarmStats EngineRegistry::WarmAll(const ModelTable& models) {
+  static metrics::Counter& compiled =
+      metrics::Registry::Global().GetCounter("serve.prewarm.compiled");
+  static metrics::Counter& hits =
+      metrics::Registry::Global().GetCounter("serve.prewarm.hit");
+  static metrics::Counter& failed =
+      metrics::Registry::Global().GetCounter("serve.prewarm.failed");
+
+  PrewarmStats stats;
+  for (const auto& [name, spec] : models) {
+    for (int64_t bucket : spec.buckets.buckets()) {
+      if (Contains(name, bucket)) {
+        ++stats.hits;
+        hits.Increment();
+        continue;
+      }
+      trace::Span span(
+          trace::kPidServe, StrCat("serve.prewarm/", name), "serve",
+          StrCat("{\"model\":\"", trace::JsonEscape(name),
+                 "\",\"bucket\":", bucket, "}"));
+      if (GetOrCompile(spec, bucket).ok()) {
+        ++stats.compiled;
+        compiled.Increment();
+      } else {
+        ++stats.failed;
+        failed.Increment();
+      }
+    }
+  }
+  return stats;
 }
 
 bool EngineRegistry::Contains(const std::string& model,

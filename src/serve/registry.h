@@ -10,12 +10,17 @@
 // touching) compiles is the classic serving-layer bug this guards
 // against.  Engines are handed out as shared_ptr<const Engine>, so an
 // eviction never invalidates an execution already in flight.
+//
+// GetOrCompile is the one place a served engine is built: it runs the
+// model's build_graph for the bucket and Engine::Compile with the
+// model's options.  WarmAll walks every model's bucket ladder through it
+// before traffic arrives, so the first request to each (model, bucket)
+// does not pay a compile (profiler included) inside its latency budget.
 
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -26,27 +31,46 @@
 
 #include "bolt/engine.h"
 #include "common/status.h"
+#include "serve/model.h"
 
 namespace bolt {
 namespace serve {
 
+/// One WarmAll pass over the bucket ladders.
+struct PrewarmStats {
+  /// Buckets this pass compiled (registry misses it filled).
+  int compiled = 0;
+  /// Buckets already cached.
+  int hits = 0;
+  /// Buckets whose compile failed; retried on the next pass.
+  int failed = 0;
+};
+
 class EngineRegistry {
  public:
-  /// Compiles an engine for one bucket batch size of some model.
-  using CompileFn = std::function<Result<Engine>(int64_t batch)>;
-
   /// `capacity` bounds the number of cached engines (>= 1).
   explicit EngineRegistry(size_t capacity);
 
-  /// Returns the cached engine for (model, batch), compiling it via
-  /// `compile` on a miss.  Concurrent callers for the same key share one
-  /// compilation; callers for different keys compile in parallel.  A
-  /// failed compilation — error Status *or thrown exception* — is
-  /// returned to every waiter but not cached, so a later call retries;
-  /// a throwing compile never poisons the single-flight slot.
-  /// Thread-safe.
-  Result<std::shared_ptr<const Engine>> GetOrCompile(
-      const std::string& model, int64_t batch, const CompileFn& compile);
+  /// `spec.build_graph(bucket)` with a thrown exception turned into an
+  /// Internal error.
+  static Result<Graph> BuildGraph(const ModelSpec& spec, int64_t bucket);
+
+  /// Returns the cached engine for (spec.name, bucket), building the
+  /// graph and compiling it with `spec.compile` on a miss.  Concurrent
+  /// callers for the same key share one compilation; callers for
+  /// different keys compile in parallel.  A failed compilation — error
+  /// Status *or thrown exception* — is returned to every waiter but not
+  /// cached, so a later call retries; a throwing build or compile never
+  /// poisons the single-flight slot.  Thread-safe.
+  Result<std::shared_ptr<const Engine>> GetOrCompile(const ModelSpec& spec,
+                                                     int64_t bucket);
+
+  /// Walks every model's bucket ladder (ascending) once, compiling each
+  /// engine not yet cached.  A failed bucket is counted and skipped; the
+  /// next pass retries it.  Safe to call concurrently with serving
+  /// traffic: a request racing the walk joins the in-flight compile.
+  /// Never throws.
+  PrewarmStats WarmAll(const ModelTable& models);
 
   /// True when (model, batch) is currently cached (does not touch LRU
   /// recency).

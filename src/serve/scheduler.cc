@@ -221,9 +221,7 @@ std::string FairScheduler::PickModelLocked(
     const int64_t need =
         std::min<int64_t>(std::max<int64_t>(s.q.front().rows(), 1), cap);
     if (s.deficit < static_cast<double>(need)) {
-      const int64_t quantum =
-          options_.quantum_rows > 0 ? options_.quantum_rows : cap;
-      s.deficit += static_cast<double>(quantum) * s.weight;
+      s.deficit += static_cast<double>(cap) * s.weight;
     }
     if (s.deficit >= static_cast<double>(need)) {
       active_.pop_front();

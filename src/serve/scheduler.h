@@ -7,12 +7,12 @@
 // model, so FairScheduler keeps a per-model queue set behind
 // deficit-round-robin (DRR): each registered model owns a
 // FIFO deque and a row-denominated deficit counter; models take turns,
-// each turn banking `quantum_rows x weight` rows of credit and serving
-// coalesced batches while the credit lasts.  A backlogged model's
-// long-run share is proportional to its weight, and no model can exceed
-// its share by more than roughly one quantum plus one max-bucket over
-// any window (the classic DRR bound) — the property test_serve_sched
-// pins.
+// each turn banking `max_rows_for(model) x weight` rows of credit (one
+// full bucket at weight 1) and serving coalesced batches while the
+// credit lasts.  A backlogged model's long-run share is proportional to
+// its weight, and no model can exceed its share by more than roughly
+// one quantum plus one max-bucket over any window (the classic DRR
+// bound) — the property test_serve_sched pins.
 //
 // Dispatch is SLO-aware: while a partial bucket waits for stragglers,
 // the wait deadline is min(front.enqueue + max_wait,
@@ -72,10 +72,6 @@ std::optional<RejectReason> GetRejectReason(const Status& status);
 struct SchedulerOptions {
   /// Bound on queued requests across all models (not rows).
   size_t capacity = 256;
-  /// DRR quantum in rows per weight unit banked each time a model's
-  /// turn comes around; 0 = use the model's bucket cap (max_rows_for),
-  /// which guarantees one full bucket per turn at weight 1.
-  int64_t quantum_rows = 0;
   /// Batcher workers draining this scheduler; scales the predicted
   /// queue-wait used by admission control.
   int drain_workers = 1;

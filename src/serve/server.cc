@@ -19,7 +19,6 @@ SchedulerOptions MakeSchedulerOptions(const ServerOptions& options,
                                       const ModelTable* models) {
   SchedulerOptions sched;
   sched.capacity = options.queue_capacity;
-  sched.quantum_rows = options.drr_quantum_rows;
   sched.drain_workers = std::max(1, options.batcher.num_workers);
   sched.clock = options.batcher.clock;
   // Predict a rows-row batch by rounding up to the bucket it would run
@@ -41,13 +40,11 @@ SchedulerOptions MakeSchedulerOptions(const ServerOptions& options,
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(options),
-      clock_(options.batcher.clock != nullptr ? options.batcher.clock
+    : clock_(options.batcher.clock != nullptr ? options.batcher.clock
                                               : Clock::Real()),
       scheduler_(MakeSchedulerOptions(options, &registry_, &models_)),
       registry_(options.engine_cache_capacity),
-      batcher_(&scheduler_, &registry_, &models_, options.batcher),
-      prewarmer_(&registry_, &models_) {}
+      batcher_(&scheduler_, &registry_, &models_, options.batcher) {}
 
 Server::~Server() { Stop(); }
 
@@ -85,7 +82,7 @@ Status Server::RegisterModel(ModelSpec spec) {
   // Validate the spec at its largest bucket: the serving layer requires
   // exactly one graph input with a leading batch axis.
   const int64_t max_bucket = spec.buckets.max_bucket();
-  Result<Graph> graph = spec.build_graph(max_bucket);
+  Result<Graph> graph = EngineRegistry::BuildGraph(spec, max_bucket);
   if (!graph.ok()) {
     return Status::InvalidArgument(
         StrCat("model ", spec.name, ": build_graph(", max_bucket,
@@ -118,17 +115,13 @@ Status Server::Start() {
     return Status::FailedPrecondition("no models registered");
   }
   started_ = true;
-  if (options_.prewarm_on_start) prewarmer_.Start();
   batcher_.Start();
   return Status::Ok();
 }
 
-void Server::Stop() {
-  prewarmer_.Stop();
-  batcher_.Stop();
-}
+void Server::Stop() { batcher_.Stop(); }
 
-PrewarmStats Server::Prewarm() { return prewarmer_.WarmAll(); }
+PrewarmStats Server::Prewarm() { return registry_.WarmAll(models_); }
 
 Result<Request> Server::MakeRequest(const std::string& model,
                                     Tensor input) {

@@ -37,7 +37,6 @@
 
 #include "serve/batcher.h"
 #include "serve/model.h"
-#include "serve/prewarm.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 
@@ -51,11 +50,6 @@ struct ServerOptions {
   size_t queue_capacity = 256;
   /// Bound on cached compiled engines across all models and buckets.
   size_t engine_cache_capacity = 8;
-  /// DRR quantum in rows per weight unit (0 = each model's max bucket).
-  int64_t drr_quantum_rows = 0;
-  /// Compile every registered model's bucket ladder on Start(), in the
-  /// background, off the request path (serve/prewarm.h).
-  bool prewarm_on_start = false;
   BatcherOptions batcher;
 };
 
@@ -73,11 +67,11 @@ class Server {
   /// Validates the spec by building the graph at the largest bucket:
   /// exactly one graph input whose leading dimension equals the bucket
   /// batch size; records the input descriptor for Submit validation.
+  /// A build_graph that fails or throws yields InvalidArgument.
   /// The spec's weight (> 0) and default SLO feed the fair scheduler.
   Status RegisterModel(ModelSpec spec);
 
-  /// Spawns the batcher workers (and the prewarmer when
-  /// prewarm_on_start is set).  Idempotent.
+  /// Spawns the batcher workers.  Idempotent.
   Status Start();
   /// Stops accepting requests, drains the queue, joins the workers.
   /// Idempotent; also run by the destructor.
@@ -97,7 +91,7 @@ class Server {
                                     std::nullopt);
 
   /// Synchronously compiles every registered model's bucket ladder
-  /// through the single-flight registry (tests, benches, warm restarts).
+  /// through the single-flight registry (EngineRegistry::WarmAll).
   PrewarmStats Prewarm();
 
   /// Components, exposed for deterministic tests and benches (e.g.
@@ -105,20 +99,17 @@ class Server {
   FairScheduler& scheduler() { return scheduler_; }
   EngineRegistry& registry() { return registry_; }
   DynamicBatcher& batcher() { return batcher_; }
-  EnginePrewarmer& prewarmer() { return prewarmer_; }
   const ModelTable& models() const { return models_; }
 
  private:
   /// Validates a request and builds it; nullopt-style error via Result.
   Result<Request> MakeRequest(const std::string& model, Tensor input);
 
-  ServerOptions options_;
   Clock* clock_;
   FairScheduler scheduler_;
   EngineRegistry registry_;
   ModelTable models_;
   DynamicBatcher batcher_;
-  EnginePrewarmer prewarmer_;
   std::mutex mu_;  // guards models_ mutation and started_
   bool started_ = false;
   std::atomic<int64_t> next_id_{0};

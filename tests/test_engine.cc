@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -261,6 +262,59 @@ TEST(EngineTest, MisShapedInputRejected) {
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(Contains(out.status().message(), "input tensor x "));
+}
+
+TEST(EngineTest, InputOfAnotherDtypeOrLayoutRejected) {
+  // An FP16 NHWC conv+ReLU.  The kernels read dtype and layout from the
+  // declared desc, so every executor must refuse a tensor that disagrees
+  // and take an unlabelled (kAny) tensor in the declared layout.
+  GraphBuilder b(DType::kFloat16, Layout::kNHWC);
+  NodeId x = b.Input("x", {1, 8, 8, 16}, Layout::kNHWC);
+  Conv2dAttrs a;
+  a.pad_h = a.pad_w = 1;
+  NodeId y = b.Conv2d(x, b.Constant("w", RandomWeight({16, 3, 3, 16}, 51)),
+                      a, "conv");
+  y = b.Activation(y, ActivationKind::kRelu);
+  b.MarkOutput(y);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  auto engine = Engine::Compile(*g, CompileOptions{});
+  ASSERT_TRUE(engine.ok());
+  const Interpreter interp(*g);
+  const RefExecutor ref(*g);
+  using RunFn = std::function<Result<std::vector<Tensor>>(const Tensor&)>;
+  const std::vector<std::pair<std::string, RunFn>> runners = {
+      {"Engine::Run",
+       [&](const Tensor& t) { return engine->Run({{"x", t}}); }},
+      {"Interpreter",
+       [&](const Tensor& t) { return interp.Run({{"x", t}}); }},
+      {"RefExecutor", [&](const Tensor& t) { return ref.Run({{"x", t}}); }},
+  };
+
+  Tensor nhwc(TensorDesc(DType::kFloat16, {1, 8, 8, 16}, Layout::kNHWC));
+  Rng rng(52);
+  rng.FillNormal(nhwc.data(), 0.7f);
+  nhwc.Quantize();
+  const Tensor fp32 = nhwc.Cast(DType::kFloat32);
+  const Tensor nchw(TensorDesc(DType::kFloat16, {1, 8, 8, 16}, Layout::kNCHW),
+                    nhwc.data());
+  const Tensor any(TensorDesc(DType::kFloat16, {1, 8, 8, 16}, Layout::kAny),
+                   nhwc.data());
+  for (const auto& [name, run] : runners) {
+    SCOPED_TRACE(name);
+    for (const Tensor* bad : {&fp32, &nchw}) {
+      auto out = run(*bad);
+      ASSERT_FALSE(out.ok()) << bad->desc().ToString();
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(Contains(out.status().message(), "input tensor x "));
+    }
+    auto want = run(nhwc);
+    auto got = run(any);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ((*got)[0].desc(), (*want)[0].desc());
+    EXPECT_EQ((*got)[0].MaxAbsDiff((*want)[0]), 0.0f);
+  }
 }
 
 TEST(EngineTest, PrimitiveHostOpsMatchReference) {

@@ -22,7 +22,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "cpukernels/cpuinfo.h"
-#include "cpukernels/tuned.h"
 #include "ir/interpreter.h"
 #include "serve/bucketing.h"
 #include "serve/registry.h"
@@ -102,72 +101,56 @@ TEST(BucketPolicyTest, CreateRejectsEmptyAndNonPositiveSets) {
   EXPECT_FALSE(BucketPolicy::Create({-1}).ok());
 }
 
-TEST(BucketPolicyTest, FromTunedGemmRoundsOntoTunedBatchSizes) {
-  cpukernels::ClearTunedBlocks();
-  cpukernels::BlockConfig block;  // defaults validate
-  ASSERT_TRUE(block.Validate().ok());
-  ASSERT_TRUE(cpukernels::RegisterTunedBlock(
-      cpukernels::TunedKind::kGemm, 4, 24, 16, block));
-  ASSERT_TRUE(cpukernels::RegisterTunedBlock(
-      cpukernels::TunedKind::kGemm, 8, 24, 16, block));
-
-  auto tuned = BucketPolicy::FromTunedGemm(24, 16, {1});
-  ASSERT_TRUE(tuned.ok());
-  EXPECT_EQ(tuned->buckets(), (std::vector<int64_t>{4, 8}));
-
-  auto fallback = BucketPolicy::FromTunedGemm(999, 999, {1, 2});
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_EQ(fallback->buckets(), (std::vector<int64_t>{1, 2}));
-  cpukernels::ClearTunedBlocks();
-}
-
 // ---------------------------------------------------------------------
 // EngineRegistry
 // ---------------------------------------------------------------------
 
-EngineRegistry::CompileFn CountingMlpCompile(std::atomic<int>* compiles,
-                                             int sleep_ms = 0) {
-  return [compiles, sleep_ms](int64_t batch) -> Result<Engine> {
-    compiles->fetch_add(1);
+/// An MLP spec for `name` whose graph builds are counted in `*builds`.
+ModelSpec CountingMlpSpec(const std::string& name, std::atomic<int>* builds,
+                          int sleep_ms = 0) {
+  ModelSpec spec = MlpSpec(name, {1});
+  spec.build_graph = [builds, sleep_ms](int64_t batch) {
+    builds->fetch_add(1);
     if (sleep_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     }
-    Result<Graph> g = BuildMlp(batch);
-    if (!g.ok()) return g.status();
-    return Engine::Compile(*g, CompileOptions{});
+    return BuildMlp(batch);
   };
+  return spec;
 }
 
 TEST(EngineRegistryTest, EvictsLeastRecentlyUsedBeyondCapacity) {
   EngineRegistry reg(2);
   std::atomic<int> compiles{0};
-  const auto compile = CountingMlpCompile(&compiles);
+  const ModelSpec a = CountingMlpSpec("a", &compiles);
+  const ModelSpec b = CountingMlpSpec("b", &compiles);
+  const ModelSpec c = CountingMlpSpec("c", &compiles);
 
-  ASSERT_TRUE(reg.GetOrCompile("a", 1, compile).ok());
-  ASSERT_TRUE(reg.GetOrCompile("b", 1, compile).ok());
-  ASSERT_TRUE(reg.GetOrCompile("a", 1, compile).ok());  // touch a
-  ASSERT_TRUE(reg.GetOrCompile("c", 1, compile).ok());  // evicts b
+  ASSERT_TRUE(reg.GetOrCompile(a, 1).ok());
+  ASSERT_TRUE(reg.GetOrCompile(b, 1).ok());
+  ASSERT_TRUE(reg.GetOrCompile(a, 1).ok());  // touch a
+  ASSERT_TRUE(reg.GetOrCompile(c, 1).ok());  // evicts b
   EXPECT_EQ(compiles.load(), 3);
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.KeysByRecency(),
             (std::vector<std::string>{"c@1", "a@1"}));
 
   // b was evicted: asking again recompiles.
-  ASSERT_TRUE(reg.GetOrCompile("b", 1, compile).ok());
+  ASSERT_TRUE(reg.GetOrCompile(b, 1).ok());
   EXPECT_EQ(compiles.load(), 4);
 }
 
 TEST(EngineRegistryTest, SingleFlightSharesOneCompilation) {
   EngineRegistry reg(4);
   std::atomic<int> compiles{0};
-  const auto compile = CountingMlpCompile(&compiles, /*sleep_ms=*/25);
+  const ModelSpec spec = CountingMlpSpec("m", &compiles, /*sleep_ms=*/25);
 
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const Engine>> engines(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto e = reg.GetOrCompile("m", 4, compile);
+      auto e = reg.GetOrCompile(spec, 4);
       ASSERT_TRUE(e.ok()) << e.status().ToString();
       engines[static_cast<size_t>(t)] = *e;
     });
@@ -182,17 +165,18 @@ TEST(EngineRegistryTest, SingleFlightSharesOneCompilation) {
 TEST(EngineRegistryTest, FailedCompilationIsNotCached) {
   EngineRegistry reg(4);
   std::atomic<int> calls{0};
-  const auto failing = [&calls](int64_t) -> Result<Engine> {
+  ModelSpec failing = MlpSpec("m", {1});
+  failing.build_graph = [&calls](int64_t) -> Result<Graph> {
     calls.fetch_add(1);
     return Status::Internal("boom");
   };
-  EXPECT_FALSE(reg.GetOrCompile("m", 1, failing).ok());
+  EXPECT_FALSE(reg.GetOrCompile(failing, 1).ok());
   EXPECT_EQ(reg.size(), 0u);
-  EXPECT_FALSE(reg.GetOrCompile("m", 1, failing).ok());
+  EXPECT_FALSE(reg.GetOrCompile(failing, 1).ok());
   EXPECT_EQ(calls.load(), 2);  // retried, not served from cache
 
   std::atomic<int> compiles{0};
-  ASSERT_TRUE(reg.GetOrCompile("m", 1, CountingMlpCompile(&compiles)).ok());
+  ASSERT_TRUE(reg.GetOrCompile(CountingMlpSpec("m", &compiles), 1).ok());
   EXPECT_EQ(compiles.load(), 1);
 }
 
@@ -304,10 +288,11 @@ TEST(ServerTest, CoalescedPaddedBatchMatchesPerRequestExecution) {
             (std::vector<std::string>{"mlp@8"}));
 
   // The bucket engine, fetched from the cache (hit, no recompile).
-  auto engine = server.registry().GetOrCompile(
-      "mlp", 8, [](int64_t) -> Result<Engine> {
-        return Status::Internal("must be cached");
-      });
+  ModelSpec cached_only = MlpSpec("mlp", {8});
+  cached_only.build_graph = [](int64_t) -> Result<Graph> {
+    return Status::Internal("must be cached");
+  };
+  auto engine = server.registry().GetOrCompile(cached_only, 8);
   ASSERT_TRUE(engine.ok());
 
   for (size_t i = 0; i < futures.size(); ++i) {

@@ -7,8 +7,9 @@
 // flushes), DRR rotation order and the bounded-deficit fairness
 // property, weighted shares, the urgency bypass, slack-aware early
 // dispatch, admission-control accept/reject matrices, typed rejections,
-// the engine prewarmer (ladder walked exactly once, throwing compiles
-// never poison the single-flight slot), and a multi-tenant multi-worker
+// the registry's ladder prewarm (walked exactly once, throwing compiles
+// never poison the single-flight slot), a throwing build_graph at
+// RegisterModel, and a multi-tenant multi-worker
 // stress run (the tsan target).  No assertion in this file depends on
 // wall-clock time; every dispatch decision is driven through
 // tests/testing/fake_clock.h.
@@ -28,7 +29,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "serve/bucketing.h"
-#include "serve/prewarm.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -543,10 +543,10 @@ ModelSpec MlpSpec(const std::string& name, std::vector<int64_t> buckets,
 }
 
 // ---------------------------------------------------------------------
-// EnginePrewarmer
+// EngineRegistry::WarmAll
 // ---------------------------------------------------------------------
 
-TEST(EnginePrewarmerTest, WalksTheBucketLadderExactlyOnce) {
+TEST(WarmAllTest, WalksTheBucketLadderExactlyOnce) {
   EngineRegistry registry(8);
   std::atomic<int> builds{0};
   ModelTable models;
@@ -557,8 +557,7 @@ TEST(EnginePrewarmerTest, WalksTheBucketLadderExactlyOnce) {
   };
   models.emplace("m", std::move(spec));
 
-  EnginePrewarmer prewarmer(&registry, &models);
-  PrewarmStats first = prewarmer.WarmAll();
+  PrewarmStats first = registry.WarmAll(models);
   EXPECT_EQ(first.compiled, 3);
   EXPECT_EQ(first.hits, 0);
   EXPECT_EQ(first.failed, 0);
@@ -568,13 +567,13 @@ TEST(EnginePrewarmerTest, WalksTheBucketLadderExactlyOnce) {
   }
 
   // A second pass finds every rung cached: zero recompiles.
-  PrewarmStats second = prewarmer.WarmAll();
+  PrewarmStats second = registry.WarmAll(models);
   EXPECT_EQ(second.compiled, 0);
   EXPECT_EQ(second.hits, 3);
   EXPECT_EQ(builds.load(), 3);
 }
 
-TEST(EnginePrewarmerTest, ThrowingCompileIsSkippedAndRetriedNextPass) {
+TEST(WarmAllTest, ThrowingCompileIsSkippedAndRetriedNextPass) {
   EngineRegistry registry(8);
   std::atomic<int> builds{0};
   std::atomic<bool> should_throw{true};
@@ -591,13 +590,12 @@ TEST(EnginePrewarmerTest, ThrowingCompileIsSkippedAndRetriedNextPass) {
   };
   models.emplace("m", std::move(spec));
 
-  EnginePrewarmer prewarmer(&registry, &models);
-  PrewarmStats first = prewarmer.WarmAll();
+  PrewarmStats first = registry.WarmAll(models);
   EXPECT_EQ(first.failed, 1);
   EXPECT_EQ(first.compiled, 1);  // bucket 2 still compiled
   EXPECT_FALSE(registry.Contains("m", 1));
 
-  PrewarmStats second = prewarmer.WarmAll();
+  PrewarmStats second = registry.WarmAll(models);
   EXPECT_EQ(second.failed, 0);
   EXPECT_EQ(second.compiled, 1);  // bucket 1 retried and cached
   EXPECT_EQ(second.hits, 1);
@@ -607,16 +605,17 @@ TEST(EnginePrewarmerTest, ThrowingCompileIsSkippedAndRetriedNextPass) {
 TEST(EngineRegistryTest, ConcurrentThrowingCompilesDoNotWedgeTheSlot) {
   EngineRegistry registry(4);
   std::atomic<int> calls{0};
+  ModelSpec throwing = MlpSpec("m", {1});
+  throwing.build_graph = [&calls](int64_t) -> Result<Graph> {
+    calls.fetch_add(1);
+    throw std::runtime_error("boom");
+  };
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::atomic<int> errors{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      auto e = registry.GetOrCompile(
-          "m", 1, [&calls](int64_t) -> Result<Engine> {
-            calls.fetch_add(1);
-            throw std::runtime_error("boom");
-          });
+      auto e = registry.GetOrCompile(throwing, 1);
       if (!e.ok()) errors.fetch_add(1);
     });
   }
@@ -627,11 +626,7 @@ TEST(EngineRegistryTest, ConcurrentThrowingCompilesDoNotWedgeTheSlot) {
   EXPECT_EQ(registry.size(), 0u);
 
   // The slot still works: a healthy compile succeeds afterwards.
-  auto ok = registry.GetOrCompile("m", 1, [](int64_t batch) {
-    Result<Graph> g = BuildMlp(batch);
-    if (!g.ok()) return Result<Engine>(g.status());
-    return Engine::Compile(*g, CompileOptions{});
-  });
+  auto ok = registry.GetOrCompile(MlpSpec("m", {1}), 1);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
@@ -656,13 +651,9 @@ TEST(EngineRegistryTest, ExecEwmaSeedsSmoothsAndSurvivesEviction) {
 
   // The EWMA deliberately outlives cache entries (capacity 1 here): the
   // scheduler needs the estimate precisely when the engine went cold.
-  auto compile = [](int64_t batch) {
-    Result<Graph> g = BuildMlp(batch);
-    if (!g.ok()) return Result<Engine>(g.status());
-    return Engine::Compile(*g, CompileOptions{});
-  };
-  ASSERT_TRUE(registry.GetOrCompile("m", 4, compile).ok());
-  ASSERT_TRUE(registry.GetOrCompile("other", 4, compile).ok());  // evicts
+  ASSERT_TRUE(registry.GetOrCompile(MlpSpec("m", {4}), 4).ok());
+  ASSERT_TRUE(
+      registry.GetOrCompile(MlpSpec("other", {4}), 4).ok());  // evicts
   EXPECT_FALSE(registry.Contains("m", 4));
   EXPECT_EQ(registry.PredictedExecUs("m", 4), 1250.0);
 }
@@ -724,6 +715,22 @@ TEST(ServerSloTest, RegisterModelValidatesWeightAndSlo) {
   ModelSpec bad_slo = MlpSpec("s", {2});
   bad_slo.slo_us = -1;
   EXPECT_FALSE(server.RegisterModel(std::move(bad_slo)).ok());
+}
+
+TEST(ServerSloTest, RegisterModelTurnsAThrowingBuildIntoAnError) {
+  Server server;
+  ModelSpec throwing = MlpSpec("t", {1, 2});
+  throwing.build_graph = [](int64_t) -> Result<Graph> {
+    throw std::runtime_error("simulated builder crash");
+  };
+  const Status status = server.RegisterModel(std::move(throwing));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("simulated builder crash"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(server.models().count("t"), 0u);
+  // The server stays usable for well-formed specs.
+  EXPECT_TRUE(server.RegisterModel(MlpSpec("ok", {1})).ok());
 }
 
 TEST(ServerSloTest, PrewarmCompilesEveryRegisteredLadder) {
