@@ -71,12 +71,16 @@ int main(int argc, char** argv) {
   warm.shared_profiler = &session2;
   auto e3 = Engine::Compile(*resnet, warm);
   if (!e3.ok()) return 1;
+  const bool same_latency =
+      e3->EstimatedLatencyUs() == e1->EstimatedLatencyUs();
   std::printf("ResNet-18:  %6.1f s tuning (all cache hits), latency "
               "matches session 1: %s\n",
-              e3->tuning_report().seconds,
-              e3->EstimatedLatencyUs() == e1->EstimatedLatencyUs()
-                  ? "yes"
-                  : "NO");
+              e3->tuning_report().seconds, same_latency ? "yes" : "NO");
+  // The warm session must be a pure replay of the log.
+  if (e3->tuning_report().seconds != 0.0 || !same_latency) {
+    std::printf("warm session did not reproduce session 1 from the log\n");
+    return 1;
+  }
 
   // --- A new dynamic shape arrives at runtime --------------------------
   std::printf("\n=== dynamic shape (batch 48 instead of 32) ===\n");

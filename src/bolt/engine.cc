@@ -15,9 +15,7 @@ namespace bolt {
 using codegen::LaunchKind;
 using codegen::LaunchRecord;
 using cutlite::B2bConvKernel;
-using cutlite::B2bConvStage;
 using cutlite::B2bGemmKernel;
-using cutlite::B2bStage;
 using cutlite::ConvProblem;
 using cutlite::EpilogueSpec;
 using cutlite::GemmCoord;
@@ -58,6 +56,29 @@ CompositeStages StagesOf(const Graph& g, const Node& n) {
   return st;
 }
 
+/// The CPU tuning workload of conv problem `p` run in `layout`; dilation is
+/// not part of a ConvProblem, so it comes separately.
+CpuConvWorkload CpuConvWorkloadOf(const ConvProblem& p, Layout layout,
+                                  int64_t dilation_h = 1,
+                                  int64_t dilation_w = 1) {
+  CpuConvWorkload w;
+  w.batch = p.n;
+  w.h = p.h;
+  w.w = p.w;
+  w.c = p.c;
+  w.oc = p.k;
+  w.kh = p.r;
+  w.kw = p.s;
+  w.params.stride_h = p.stride_h;
+  w.params.stride_w = p.stride_w;
+  w.params.pad_h = p.pad_h;
+  w.params.pad_w = p.pad_w;
+  w.params.dilation_h = dilation_h;
+  w.params.dilation_w = dilation_w;
+  w.layout = layout;
+  return w;
+}
+
 /// The host launch of bolt.* node `n`: one KernelStep stage per composite
 /// stage, each quantizing once on store at the node's declared precision
 /// (cutlite mode; an FP32 graph must not be quantized through the
@@ -89,6 +110,105 @@ KernelStep LowerComposite(const Node& n, const CompositeStages& st) {
   }
   if (st.epilogues.back().has_residual) step.residual = n.inputs[next++];
   return step;
+}
+
+/// The profiler's choice for a bolt.* node: one config per stage, the
+/// estimate and, for the b2b kinds, the residence.  `candidates_tried`
+/// counts the single-kernel sweep and stays 0 for the b2b kinds.
+struct CompositeChoice {
+  std::vector<cutlite::KernelConfig> configs;
+  cutlite::ResidenceKind residence = cutlite::ResidenceKind::kRegisterFile;
+  double us = 0.0;
+  int candidates_tried = 0;
+};
+
+/// The profiler call for bolt.* node `n`.  PreProfile makes it to warm the
+/// cache and BuildModule to emit from the result, so both key the profiler
+/// identically.
+Result<CompositeChoice> ProfileComposite(Profiler& profiler, const Node& n,
+                                         const CompositeStages& st) {
+  const bool conv = !st.convs.empty();
+  if (n.kind == OpKind::kBoltGemm || n.kind == OpKind::kBoltConv2d) {
+    auto r = conv ? profiler.ProfileConv(st.convs[0], st.epilogues[0])
+                  : profiler.ProfileGemm(st.gemms[0], st.epilogues[0]);
+    if (!r.ok()) return r.status();
+    return CompositeChoice{{r->config}, {}, r->us, r->candidates_tried};
+  }
+  const B2bProfileResult r =
+      conv ? profiler.ProfileB2bConv(st.convs, st.epilogues)
+           : profiler.ProfileB2bGemm(st.gemms, st.epilogues);
+  if (!r.feasible) {
+    return Status::Internal(StrCat(conv ? "b2b conv" : "b2b gemm",
+                                   " node no longer feasible: ", n.name));
+  }
+  return CompositeChoice{r.configs, r.residence, r.fused_us, 0};
+}
+
+/// A generated kernel: its launch kind, name and source text.
+struct EmittedKernel {
+  LaunchKind kind;
+  std::string name;
+  std::string source;
+};
+
+/// The persistent kernel over `problems` under the profiler's choice.
+template <typename Chain, typename Problem, typename Stage>
+Result<EmittedKernel> EmitChain(
+    LaunchKind kind, const std::vector<Problem>& problems,
+    const CompositeStages& st, const CompositeChoice& choice,
+    const DeviceSpec& spec,
+    std::string (*emit)(const std::vector<Stage>&, cutlite::ResidenceKind)) {
+  std::vector<Stage> stages;
+  for (size_t s = 0; s < problems.size(); ++s) {
+    stages.push_back(Stage{problems[s], choice.configs[s], st.epilogues[s]});
+  }
+  std::string source = emit(stages, choice.residence);
+  auto kernel = Chain::Create(std::move(stages), choice.residence, spec);
+  if (!kernel.ok()) return kernel.status();
+  return EmittedKernel{kind, kernel->Name(), std::move(source)};
+}
+
+/// The kernel generated for bolt.* node `n` under the profiler's choice.
+Result<EmittedKernel> EmitComposite(const Graph& g, const Node& n,
+                                    const CompositeStages& st,
+                                    const CompositeChoice& choice,
+                                    const DeviceSpec& spec) {
+  const cutlite::KernelConfig& config = choice.configs[0];
+  switch (n.kind) {
+    case OpKind::kBoltGemm:
+      return EmittedKernel{
+          LaunchKind::kGemm, config.Name("gemm"),
+          codegen::EmitGemmKernel(st.gemms[0], config, st.epilogues[0])};
+    case OpKind::kBoltConv2d: {
+      codegen::EmitOptions eo;
+      if (n.attrs.Has("padded_from_c")) {
+        eo.pad_input_channels_to = st.convs[0].c;
+      }
+      // Fold adjacent layout transforms into this kernel's iterators.
+      const Node& x = g.node(n.inputs[0]);
+      if (x.kind == OpKind::kLayoutTransform ||
+          (x.kind == OpKind::kPadChannels &&
+           g.node(x.inputs[0]).kind == OpKind::kLayoutTransform)) {
+        eo.fold_input_layout_transform = true;
+      }
+      for (NodeId c : g.Consumers(n.id)) {
+        if (g.node(c).kind == OpKind::kLayoutTransform) {
+          eo.fold_output_layout_transform = true;
+        }
+      }
+      return EmittedKernel{
+          LaunchKind::kConv, config.Name("conv2d_fprop"),
+          codegen::EmitConvKernel(st.convs[0], config, st.epilogues[0], eo)};
+    }
+    case OpKind::kBoltB2BGemm:
+      return EmitChain<B2bGemmKernel>(LaunchKind::kB2bGemm, st.gemms, st,
+                                      choice, spec,
+                                      &codegen::EmitB2bGemmKernel);
+    default:
+      return EmitChain<B2bConvKernel>(LaunchKind::kB2bConv, st.convs, st,
+                                      choice, spec,
+                                      &codegen::EmitB2bConvKernel);
+  }
 }
 
 /// True if the layout-transform node is adjacent to a Bolt composite and
@@ -237,21 +357,8 @@ void Engine::PreProfile(Profiler& profiler) {
   std::vector<std::function<void()>> jobs;
   for (const Node& n : graph_->nodes()) {
     if (!IsComposite(n.kind)) continue;
-    jobs.push_back([&profiler, kind = n.kind, st = StagesOf(*graph_, n)] {
-      switch (kind) {
-        case OpKind::kBoltGemm:
-          profiler.ProfileGemm(st.gemms[0], st.epilogues[0]);
-          break;
-        case OpKind::kBoltConv2d:
-          profiler.ProfileConv(st.convs[0], st.epilogues[0]);
-          break;
-        case OpKind::kBoltB2BGemm:
-          profiler.ProfileB2bGemm(st.gemms, st.epilogues);
-          break;
-        default:
-          profiler.ProfileB2bConv(st.convs, st.epilogues);
-          break;
-      }
+    jobs.push_back([&profiler, &n, st = StagesOf(*graph_, n)] {
+      (void)ProfileComposite(profiler, n, st);
     });
   }
   pool->ParallelFor(static_cast<int64_t>(jobs.size()),
@@ -288,19 +395,8 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
         BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuGemm(w)));
       }
       for (const ConvProblem& p : st.convs) {
-        CpuConvWorkload w;
-        w.batch = p.n;
-        w.h = p.h;
-        w.w = p.w;
-        w.c = p.c;
-        w.oc = p.k;
-        w.kh = p.r;
-        w.kw = p.s;
-        w.params.stride_h = p.stride_h;
-        w.params.stride_w = p.stride_w;
-        w.params.pad_h = p.pad_h;
-        w.params.pad_w = p.pad_w;
-        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(w)));
+        BOLT_RETURN_IF_ERROR(record(
+            profiler.ProfileCpuConv(CpuConvWorkloadOf(p, Layout::kNHWC))));
       }
     } else if (n.kind == OpKind::kConv2d) {
       // Unfused primitive conv (e.g. dilated) executed by the host
@@ -309,29 +405,27 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
       const TensorDesc& x = graph_->node(n.inputs[0]).out_desc;
       const TensorDesc& wt = graph_->node(n.inputs[1]).out_desc;
       if (x.shape.size() != 4 || wt.shape.size() != 4) continue;
-      CpuConvWorkload w;
-      w.layout = x.layout;
-      w.batch = x.shape[0];
+      ConvProblem p;
+      p.n = x.shape[0];
       if (x.layout == Layout::kNHWC) {
-        w.h = x.shape[1];
-        w.w = x.shape[2];
-        w.c = x.shape[3];
+        p.h = x.shape[1];
+        p.w = x.shape[2];
+        p.c = x.shape[3];
       } else {
         // kNCHW and blocked kNCHWc both keep the logical NCHW shape.
-        w.c = x.shape[1];
-        w.h = x.shape[2];
-        w.w = x.shape[3];
+        p.c = x.shape[1];
+        p.h = x.shape[2];
+        p.w = x.shape[3];
       }
-      w.oc = wt.shape[0];
-      w.kh = wt.shape[1];
-      w.kw = wt.shape[2];
-      w.params.stride_h = a.stride_h;
-      w.params.stride_w = a.stride_w;
-      w.params.pad_h = a.pad_h;
-      w.params.pad_w = a.pad_w;
-      w.params.dilation_h = a.dilation_h;
-      w.params.dilation_w = a.dilation_w;
-      BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(w)));
+      p.k = wt.shape[0];
+      p.r = wt.shape[1];
+      p.s = wt.shape[2];
+      p.stride_h = a.stride_h;
+      p.stride_w = a.stride_w;
+      p.pad_h = a.pad_h;
+      p.pad_w = a.pad_w;
+      BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(CpuConvWorkloadOf(
+          p, x.layout, a.dilation_h, a.dilation_w))));
     }
   }
   return Status::Ok();
@@ -348,94 +442,18 @@ Status Engine::BuildModule(Profiler& profiler) {
       case OpKind::kInput:
       case OpKind::kConstant:
         break;
-      case OpKind::kBoltGemm: {
-        const CompositeStages st = StagesOf(*graph_, n);
-        const GemmCoord& p = st.gemms[0];
-        const EpilogueSpec& e = st.epilogues[0];
-        auto r = profiler.ProfileGemm(p, e);
-        if (!r.ok()) return r.status();
-        report_.candidates_tried += r.value().candidates_tried;
-        const std::string name = r.value().config.Name("gemm");
-        module_.AddKernelSource(name,
-                                codegen::EmitGemmKernel(p, r.value().config,
-                                                        e));
-        module_.AddLaunch({LaunchKind::kGemm, name, n.id, r.value().us});
-        steps.push_back(LowerComposite(n, st));
-        break;
-      }
-      case OpKind::kBoltConv2d: {
-        const CompositeStages st = StagesOf(*graph_, n);
-        const ConvProblem& p = st.convs[0];
-        const EpilogueSpec& e = st.epilogues[0];
-        auto r = profiler.ProfileConv(p, e);
-        if (!r.ok()) return r.status();
-        report_.candidates_tried += r.value().candidates_tried;
-        codegen::EmitOptions eo;
-        if (n.attrs.Has("padded_from_c")) {
-          eo.pad_input_channels_to = p.c;
-        }
-        // Fold adjacent layout transforms into this kernel's iterators.
-        const Node& x = graph_->node(n.inputs[0]);
-        if (x.kind == OpKind::kLayoutTransform ||
-            (x.kind == OpKind::kPadChannels &&
-             graph_->node(x.inputs[0]).kind == OpKind::kLayoutTransform)) {
-          eo.fold_input_layout_transform = true;
-        }
-        for (NodeId c : graph_->Consumers(n.id)) {
-          if (graph_->node(c).kind == OpKind::kLayoutTransform) {
-            eo.fold_output_layout_transform = true;
-          }
-        }
-        const std::string name = r.value().config.Name("conv2d_fprop");
-        module_.AddKernelSource(
-            name, codegen::EmitConvKernel(p, r.value().config, e, eo));
-        module_.AddLaunch({LaunchKind::kConv, name, n.id, r.value().us});
-        steps.push_back(LowerComposite(n, st));
-        break;
-      }
-      case OpKind::kBoltB2BGemm: {
-        const CompositeStages st = StagesOf(*graph_, n);
-        B2bProfileResult r = profiler.ProfileB2bGemm(st.gemms, st.epilogues);
-        if (!r.feasible) {
-          return Status::Internal("b2b gemm node no longer feasible: " +
-                                  n.name);
-        }
-        std::vector<B2bStage> kstages;
-        for (size_t s = 0; s < st.gemms.size(); ++s) {
-          kstages.push_back(B2bStage{st.gemms[s], r.configs[s],
-                                     st.epilogues[s]});
-        }
-        const std::string source =
-            codegen::EmitB2bGemmKernel(kstages, r.residence);
-        auto kernel =
-            B2bGemmKernel::Create(std::move(kstages), r.residence, spec);
-        if (!kernel.ok()) return kernel.status();
-        const std::string name = kernel.value().Name();
-        module_.AddKernelSource(name, source);
-        module_.AddLaunch({LaunchKind::kB2bGemm, name, n.id, r.fused_us});
-        steps.push_back(LowerComposite(n, st));
-        break;
-      }
+      case OpKind::kBoltGemm:
+      case OpKind::kBoltConv2d:
+      case OpKind::kBoltB2BGemm:
       case OpKind::kBoltB2BConv: {
         const CompositeStages st = StagesOf(*graph_, n);
-        B2bProfileResult r = profiler.ProfileB2bConv(st.convs, st.epilogues);
-        if (!r.feasible) {
-          return Status::Internal("b2b conv node no longer feasible: " +
-                                  n.name);
-        }
-        std::vector<B2bConvStage> kstages;
-        for (size_t s = 0; s < st.convs.size(); ++s) {
-          kstages.push_back(B2bConvStage{st.convs[s], r.configs[s],
-                                         st.epilogues[s]});
-        }
-        const std::string source =
-            codegen::EmitB2bConvKernel(kstages, r.residence);
-        auto kernel =
-            B2bConvKernel::Create(std::move(kstages), r.residence, spec);
+        auto choice = ProfileComposite(profiler, n, st);
+        if (!choice.ok()) return choice.status();
+        report_.candidates_tried += choice->candidates_tried;
+        auto kernel = EmitComposite(*graph_, n, st, *choice, spec);
         if (!kernel.ok()) return kernel.status();
-        const std::string name = kernel.value().Name();
-        module_.AddKernelSource(name, source);
-        module_.AddLaunch({LaunchKind::kB2bConv, name, n.id, r.fused_us});
+        module_.AddKernelSource(kernel->name, kernel->source);
+        module_.AddLaunch({kernel->kind, kernel->name, n.id, choice->us});
         steps.push_back(LowerComposite(n, st));
         break;
       }

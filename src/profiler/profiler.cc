@@ -21,6 +21,7 @@ using cutlite::B2bConvKernel;
 using cutlite::B2bStage;
 using cutlite::B2bConvStage;
 using cutlite::Conv2dKernel;
+using cutlite::ConvProblem;
 using cutlite::EpilogueSpec;
 using cutlite::GemmCoord;
 using cutlite::GemmKernel;
@@ -51,12 +52,57 @@ std::vector<B2bCombo> EnumerateB2bCombos() {
   return combos;
 }
 
-/// One evaluated B2B parameterization (no clock charges: those are applied
-/// by the caller in deterministic enumeration order).
-struct B2bComboOutcome {
-  bool feasible = false;
-  double us = 0.0;
-  std::vector<KernelConfig> configs;
+/// Measurement discipline of the simulated sweeps: each candidate costs
+/// `kWarmupRuns + kMeasureRuns` launches plus a fixed dispatch and
+/// result-collection overhead.
+constexpr int kWarmupRuns = 5;
+constexpr int kMeasureRuns = 20;
+constexpr double kPerCandidateOverheadSeconds = 0.004;
+
+/// Real-measurement discipline of the CPU sweeps: each candidate runs
+/// `kCpuWarmupRuns` unmeasured launches then `kCpuMeasureRuns` timed ones,
+/// keeping the minimum.  Candidates are swept serially (each launch may
+/// itself use the whole process pool), so these bound the wall cost.
+constexpr int kCpuWarmupRuns = 1;
+constexpr int kCpuMeasureRuns = 3;
+
+/// What the simulated sweeps need to know about one kernel family: its
+/// standalone and persistent kernels, its cache-key op and error name, its
+/// candidate enumerator, and how a B2B stage candidate, enumerated over the
+/// implicit-GEMM view, adapts to the problem.
+template <typename Problem>
+struct KernelFamily;
+
+template <>
+struct KernelFamily<GemmCoord> {
+  using Kernel = GemmKernel;
+  using Chain = B2bGemmKernel;
+  using Stage = B2bStage;
+  static constexpr char kOp[] = "gemm";
+  static constexpr char kName[] = "GEMM";
+  static constexpr auto Enumerate = &EnumerateGemmCandidates;
+  static GemmCoord AsGemm(const GemmCoord& p) { return p; }
+  static KernelConfig StageConfig(const GemmCoord&, KernelConfig c) {
+    return c;
+  }
+};
+
+template <>
+struct KernelFamily<ConvProblem> {
+  using Kernel = Conv2dKernel;
+  using Chain = B2bConvKernel;
+  using Stage = B2bConvStage;
+  static constexpr char kOp[] = "conv";
+  static constexpr char kName[] = "Conv";
+  static constexpr auto Enumerate = &EnumerateConvCandidates;
+  static GemmCoord AsGemm(const ConvProblem& p) { return p.AsGemm(); }
+  /// Conv alignments come from channel counts.
+  static KernelConfig StageConfig(const ConvProblem& p, KernelConfig c) {
+    c.align_a = MaxAlignment(p.c);
+    c.align_b = MaxAlignment(p.c);
+    c.align_c = MaxAlignment(p.k);
+    return c;
+  }
 };
 
 /// Profiler-wide instruments, resolved once (Registry handles stay valid
@@ -213,9 +259,13 @@ Status Profiler::SaveCache(std::ostream& out) const {
 }
 
 Status Profiler::LoadCache(std::istream& in) {
+  // Nothing is merged until the whole file has parsed: a rejected file
+  // must leave no record, registry entry or arch flag behind.
+  std::vector<std::pair<std::string, ProfileResult>> records;
+  std::vector<std::vector<std::string>> cpu_lines;
+  bool arch_prepared = false;
   std::string line;
   int line_no = 0;
-  std::unique_lock<std::shared_mutex> write(cache_mu_);
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') {
@@ -224,23 +274,13 @@ Status Profiler::LoadCache(std::istream& in) {
       // need not be rebuilt.  Token equality, not substring: a cache saved
       // for arch "sm75x" must not mark an "sm75" profiler prepared.
       for (const std::string& token : StrSplit(line, ' ')) {
-        if (token == StrCat("arch=", spec_.arch)) {
-          std::lock_guard<std::mutex> lock(clock_mu_);
-          arch_prepared_ = true;
-        }
+        if (token == StrCat("arch=", spec_.arch)) arch_prepared = true;
       }
       continue;
     }
     const auto fields = StrSplit(line, '|');
     if (StartsWith(line, kCpuKeyPrefix)) {
-      // CPU records are machine-specific real measurements, and one file
-      // legitimately accretes records from several machines and thread
-      // configurations.  A record that is corrupt, wrong-version, or from
-      // a foreign arch is therefore dropped *individually* — the rest of
-      // the file (GPU and CPU alike) still loads.
-      if (!MergeCpuCacheLine(fields)) {
-        CpuTuneInstruments::Get().cache_lines_rejected.Increment();
-      }
+      cpu_lines.push_back(fields);
       continue;
     }
     if (fields.size() != 4) {
@@ -287,7 +327,26 @@ Status Profiler::LoadCache(std::istream& in) {
       return Status::InvalidArgument(
           StrCat("non-positive candidate count at line ", line_no));
     }
-    cache_[fields[0]] = result;
+    records.emplace_back(fields[0], result);
+  }
+
+  {
+    std::unique_lock<std::shared_mutex> write(cache_mu_);
+    for (const auto& [key, result] : records) cache_[key] = result;
+    // CPU records are machine-specific real measurements, and one file
+    // legitimately accretes records from several machines and thread
+    // configurations.  A record that is corrupt, wrong-version, or from a
+    // foreign arch is therefore dropped *individually* — the rest of the
+    // file (GPU and CPU alike) still loads.
+    for (const auto& fields : cpu_lines) {
+      if (!MergeCpuCacheLine(fields)) {
+        CpuTuneInstruments::Get().cache_lines_rejected.Increment();
+      }
+    }
+  }
+  if (arch_prepared) {
+    std::lock_guard<std::mutex> lock(clock_mu_);
+    arch_prepared_ = true;
   }
   return Status::Ok();
 }
@@ -404,36 +463,23 @@ void Profiler::EnsureArchPrepared() {
   if (arch_prepared_) return;
   arch_prepared_ = true;
   // Sample programs are generated and compiled once per architecture and
-  // reused across every model and workload thereafter.
+  // reused across every model and workload thereafter.  Workers compile the
+  // `kPregenPrograms` independent programs in parallel, so the wall cost is
+  // the critical path (rounds of `workers` programs) while the full cost
+  // still lands on device seconds; a serial profiler pays it all as wall.
   const int workers = std::max(1, cost_.num_threads);
   trace::TraceSink& sink = trace::TraceSink::Global();
   const double base_s = sink.enabled() ? clock_.seconds() : 0.0;
-  if (workers == 1) {
-    clock_.ChargeCompile(cost_.arch_pregen_s);
-    if (sink.enabled()) {
-      sink.EmitSpan(trace::kPidTuning, 0, StrCat("pregen/", spec_.arch),
-                    "tuning", base_s * 1e6,
-                    (base_s + cost_.arch_pregen_s) * 1e6,
-                    StrCat("{\"programs\":",
-                           std::max(1, cost_.pregen_programs), "}"));
-    }
-    return;
-  }
-  // The pre-generation compiles `pregen_programs` independent sample
-  // programs; workers compile them in parallel, so the wall cost is the
-  // critical path (rounds of `workers` programs) while the full cost still
-  // lands on device seconds.
-  const int programs = std::max(1, cost_.pregen_programs);
-  const int rounds = (programs + workers - 1) / workers;
-  const double wall = cost_.arch_pregen_s * static_cast<double>(rounds) /
-                      static_cast<double>(programs);
-  clock_.ChargeCompileParallel(cost_.arch_pregen_s, wall);
+  const int rounds = (kPregenPrograms + workers - 1) / workers;
+  const double wall = kArchPregenSeconds * static_cast<double>(rounds) /
+                      static_cast<double>(kPregenPrograms);
+  clock_.ChargeCompileParallel(kArchPregenSeconds, wall);
   if (sink.enabled()) {
     // One lane span per worker: lane i compiles programs i, i+workers, ...
     // (round-robin), mirroring the wall accounting above exactly.
-    const double per_program_s = cost_.arch_pregen_s / programs;
-    for (int w = 0; w < workers && w < programs; ++w) {
-      const int lane_programs = (programs - w + workers - 1) / workers;
+    const double per_program_s = kArchPregenSeconds / kPregenPrograms;
+    for (int w = 0; w < workers && w < kPregenPrograms; ++w) {
+      const int lane_programs = (kPregenPrograms - w + workers - 1) / workers;
       sink.EmitSpan(trace::kPidTuning, w, StrCat("pregen/", spec_.arch),
                     "tuning", base_s * 1e6,
                     (base_s + lane_programs * per_program_s) * 1e6,
@@ -446,7 +492,7 @@ void Profiler::ChargeMeasurements(const std::string& label,
                                   const std::vector<double>& candidate_us) {
   if (candidate_us.empty()) return;
   std::lock_guard<std::mutex> lock(clock_mu_);
-  const double runs = cost_.warmup_runs + cost_.measure_runs;
+  const double runs = kWarmupRuns + kMeasureRuns;
   const int workers = std::max(1, cost_.num_threads);
   trace::TraceSink& sink = trace::TraceSink::Global();
   const double base_s = sink.enabled() ? clock_.seconds() : 0.0;
@@ -454,7 +500,7 @@ void Profiler::ChargeMeasurements(const std::string& label,
     // Charge per candidate in enumeration order — bit-exact with the
     // historical serial accounting.
     for (double us : candidate_us) {
-      clock_.ChargeMeasure(runs * us * 1e-6 + cost_.per_candidate_overhead_s);
+      clock_.ChargeMeasure(runs * us * 1e-6 + kPerCandidateOverheadSeconds);
     }
     if (sink.enabled()) {
       sink.EmitSpan(trace::kPidTuning, 0, label, "tuning", base_s * 1e6,
@@ -470,7 +516,7 @@ void Profiler::ChargeMeasurements(const std::string& label,
   double total = 0.0;
   for (size_t i = 0; i < candidate_us.size(); ++i) {
     const double s =
-        runs * candidate_us[i] * 1e-6 + cost_.per_candidate_overhead_s;
+        runs * candidate_us[i] * 1e-6 + kPerCandidateOverheadSeconds;
     lane[i % workers] += s;
     total += s;
   }
@@ -547,30 +593,19 @@ void Profiler::AbandonFlight(const std::string& key) {
   flight_cv_.notify_all();
 }
 
-Result<ProfileResult> Profiler::ProfileGemm(const GemmCoord& problem,
-                                            const EpilogueSpec& epilogue) {
-  const std::string key =
-      StrCat("gemm/", problem.ToString(), "/", epilogue.ToString(), "/",
-             spec_.arch);
-  ProfileResult cached;
-  ProfilerInstruments& im = ProfilerInstruments::Get();
-  if (LookupOrBeginFlight(cache_, key, &cached, im.cache_hits,
-                          im.cache_misses)) {
-    return cached;
-  }
-  EnsureArchPrepared();  // sample-program generation: only when measuring
+/// The earliest fastest feasible candidate (index -1 when none is
+/// feasible) and the number of feasible candidates.
+struct Profiler::SweepWinner {
+  int64_t index = -1;
+  double us = std::numeric_limits<double>::infinity();
+  int feasible = 0;
+};
 
-  const std::vector<KernelConfig> candidates =
-      EnumerateGemmCandidates(spec_, problem);
-  const int64_t n = static_cast<int64_t>(candidates.size());
-  std::vector<double> us(n, 0.0);
-  std::vector<char> feasible(n, 0);
-  auto eval = [&](int64_t i) {
-    GemmKernel kernel(problem, candidates[i], epilogue);
-    if (!kernel.CanImplement(spec_).ok()) return;
-    feasible[i] = 1;
-    us[i] = kernel.EstimateUs(spec_);
-  };
+Profiler::SweepWinner Profiler::Sweep(
+    const std::string& key, int64_t n,
+    const std::function<std::optional<double>(int64_t)>& estimate) {
+  std::vector<std::optional<double>> us(n);
+  auto eval = [&](int64_t i) { us[i] = estimate(i); };
   if (pool_ != nullptr && n > 1) {
     pool_->ParallelFor(n, eval);
   } else {
@@ -579,88 +614,73 @@ Result<ProfileResult> Profiler::ProfileGemm(const GemmCoord& problem,
 
   // Deterministic reduction in enumeration order (strict less keeps the
   // earliest of tied candidates, exactly like the serial loop).
-  ProfileResult best;
-  best.us = std::numeric_limits<double>::infinity();
+  SweepWinner best;
   std::vector<double> measured;
-  measured.reserve(candidates.size());
+  measured.reserve(n);
   for (int64_t i = 0; i < n; ++i) {
-    if (!feasible[i]) continue;
-    measured.push_back(us[i]);
-    ++best.candidates_tried;
-    if (us[i] < best.us) {
-      best.us = us[i];
-      best.config = candidates[i];
+    if (!us[i].has_value()) continue;
+    measured.push_back(*us[i]);
+    if (*us[i] < best.us) {
+      best.us = *us[i];
+      best.index = i;
     }
   }
+  best.feasible = static_cast<int>(measured.size());
   ChargeMeasurements(key, measured);
+  ProfilerInstruments& im = ProfilerInstruments::Get();
   im.candidates_enumerated.Increment(n);
   im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
-  if (best.candidates_tried == 0) {
-    AbandonFlight(key);
-    return Status::NotFound(
-        StrCat("no feasible kernel for GEMM ", problem.ToString()));
+  if (best.index >= 0) {
+    im.workloads_profiled.Increment();
+    im.workload_best_us.Observe(best.us);
   }
-  im.workloads_profiled.Increment();
-  im.workload_best_us.Observe(best.us);
-  PublishResult(cache_, key, best);
   return best;
 }
 
-Result<ProfileResult> Profiler::ProfileConv(
-    const cutlite::ConvProblem& problem, const EpilogueSpec& epilogue) {
+template <typename Problem>
+Result<ProfileResult> Profiler::ProfileKernel(const Problem& problem,
+                                              const EpilogueSpec& epilogue) {
+  using Family = KernelFamily<Problem>;
   const std::string key =
-      StrCat("conv/", problem.ToString(), "/", epilogue.ToString(), "/",
-             spec_.arch);
-  ProfileResult cached;
+      StrCat(Family::kOp, "/", problem.ToString(), "/", epilogue.ToString(),
+             "/", spec_.arch);
+  ProfileResult result;
   ProfilerInstruments& im = ProfilerInstruments::Get();
-  if (LookupOrBeginFlight(cache_, key, &cached, im.cache_hits,
+  if (LookupOrBeginFlight(cache_, key, &result, im.cache_hits,
                           im.cache_misses)) {
-    return cached;
+    return result;
   }
-  EnsureArchPrepared();
+  EnsureArchPrepared();  // sample-program generation: only when measuring
 
   const std::vector<KernelConfig> candidates =
-      EnumerateConvCandidates(spec_, problem);
-  const int64_t n = static_cast<int64_t>(candidates.size());
-  std::vector<double> us(n, 0.0);
-  std::vector<char> feasible(n, 0);
-  auto eval = [&](int64_t i) {
-    Conv2dKernel kernel(problem, candidates[i], epilogue);
-    if (!kernel.CanImplement(spec_).ok()) return;
-    feasible[i] = 1;
-    us[i] = kernel.EstimateUs(spec_);
-  };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(n, eval);
-  } else {
-    for (int64_t i = 0; i < n; ++i) eval(i);
-  }
-
-  ProfileResult best;
-  best.us = std::numeric_limits<double>::infinity();
-  std::vector<double> measured;
-  measured.reserve(candidates.size());
-  for (int64_t i = 0; i < n; ++i) {
-    if (!feasible[i]) continue;
-    measured.push_back(us[i]);
-    ++best.candidates_tried;
-    if (us[i] < best.us) {
-      best.us = us[i];
-      best.config = candidates[i];
-    }
-  }
-  ChargeMeasurements(key, measured);
-  im.candidates_enumerated.Increment(n);
-  im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
-  if (best.candidates_tried == 0) {
+      Family::Enumerate(spec_, problem);
+  const SweepWinner best =
+      Sweep(key, static_cast<int64_t>(candidates.size()),
+            [&](int64_t i) -> std::optional<double> {
+              typename Family::Kernel kernel(problem, candidates[i], epilogue);
+              if (!kernel.CanImplement(spec_).ok()) return std::nullopt;
+              return kernel.EstimateUs(spec_);
+            });
+  if (best.index < 0) {
     AbandonFlight(key);
-    return Status::NotFound(
-        StrCat("no feasible kernel for Conv ", problem.ToString()));
+    return Status::NotFound(StrCat("no feasible kernel for ", Family::kName,
+                                   " ", problem.ToString()));
   }
-  im.workloads_profiled.Increment();
-  im.workload_best_us.Observe(best.us);
-  PublishResult(cache_, key, best);
-  return best;
+  result.config = candidates[best.index];
+  result.us = best.us;
+  result.candidates_tried = best.feasible;
+  PublishResult(cache_, key, result);
+  return result;
+}
+
+Result<ProfileResult> Profiler::ProfileGemm(const GemmCoord& problem,
+                                            const EpilogueSpec& epilogue) {
+  return ProfileKernel(problem, epilogue);
+}
+
+Result<ProfileResult> Profiler::ProfileConv(const ConvProblem& problem,
+                                            const EpilogueSpec& epilogue) {
+  return ProfileKernel(problem, epilogue);
 }
 
 Result<CpuProfileResult> Profiler::RunCpuSweep(
@@ -727,9 +747,8 @@ Result<CpuProfileResult> Profiler::RunCpuSweep(
       feats.push_back(FeaturizeCpuBlock(cache, kind, m, n, k, threads, c));
     }
     const size_t keep = std::max<size_t>(
-        static_cast<size_t>(std::max(1, cost_.cpu_rank_min_keep)),
-        static_cast<size_t>(cost_.cpu_rank_keep_fraction *
-                            static_cast<double>(sweep.size())));
+        kCpuRankMinKeep, static_cast<size_t>(kCpuRankKeepFraction *
+                                             static_cast<double>(sweep.size())));
     std::optional<std::vector<size_t>> top;
     {
       std::lock_guard<std::mutex> lock(rank_mu_);
@@ -839,8 +858,7 @@ Result<CpuProfileResult> Profiler::ProfileCpuGemm(
       [&](const cpukernels::BlockConfig& block) {
         if (!measurer.has_value()) measurer.emplace(workload);
         return measurer->MeasureUs(block, &cpukernels::ProcessPool(),
-                                   cost_.cpu_warmup_runs,
-                                   cost_.cpu_measure_runs);
+                                   kCpuWarmupRuns, kCpuMeasureRuns);
       });
 }
 
@@ -868,37 +886,35 @@ Result<CpuProfileResult> Profiler::ProfileCpuConv(
       [&](const cpukernels::BlockConfig& block) {
         if (!measurer.has_value()) measurer.emplace(workload);
         return measurer->MeasureUs(block, &cpukernels::ProcessPool(),
-                                   cost_.cpu_warmup_runs,
-                                   cost_.cpu_measure_runs);
+                                   kCpuWarmupRuns, kCpuMeasureRuns);
       });
 }
 
-B2bProfileResult Profiler::ProfileB2bGemm(
-    const std::vector<GemmCoord>& problems,
+template <typename Problem>
+B2bProfileResult Profiler::ProfileChain(
+    const std::vector<Problem>& problems,
     const std::vector<EpilogueSpec>& epilogues) {
+  using Family = KernelFamily<Problem>;
   BOLT_CHECK(problems.size() == epilogues.size() && problems.size() >= 2);
   std::vector<std::string> stage_keys;
   for (size_t i = 0; i < problems.size(); ++i) {
     stage_keys.push_back(
         StrCat(problems[i].ToString(), "+", epilogues[i].ToString()));
   }
-  const std::string key =
-      StrCat("b2bgemm/", StrJoin(stage_keys, ","), "/", spec_.arch);
-  B2bProfileResult cached;
+  const std::string key = StrCat("b2b", Family::kOp, "/",
+                                 StrJoin(stage_keys, ","), "/", spec_.arch);
+  B2bProfileResult result;
   ProfilerInstruments& im = ProfilerInstruments::Get();
-  if (LookupOrBeginFlight(b2b_cache_, key, &cached, im.cache_hits,
+  if (LookupOrBeginFlight(b2b_cache_, key, &result, im.cache_hits,
                           im.cache_misses)) {
-    return cached;
+    return result;
   }
   EnsureArchPrepared();
-
-  B2bProfileResult result;
   result.fused_us = std::numeric_limits<double>::infinity();
 
   // Unfused baseline: best standalone (epilogue-fused) kernel per stage.
-  result.unfused_us = 0.0;
   for (size_t i = 0; i < problems.size(); ++i) {
-    auto r = ProfileGemm(problems[i], epilogues[i]);
+    auto r = ProfileKernel(problems[i], epilogues[i]);
     if (!r.ok()) {
       // Infeasible -> not beneficial; publish so repeat queries are free.
       PublishResult(b2b_cache_, key, result);
@@ -912,164 +928,57 @@ B2bProfileResult Profiler::ProfileB2bGemm(
   // warp counts.  Combos are independent, so they fan out across the pool;
   // clock charges happen afterwards in enumeration order.
   const std::vector<B2bCombo> combos = EnumerateB2bCombos();
-  std::vector<B2bComboOutcome> outcomes(combos.size());
-  auto eval = [&](int64_t ci) {
-    const B2bCombo& combo = combos[ci];
-    std::vector<B2bStage> stages;
-    for (size_t i = 0; i < problems.size(); ++i) {
-      auto cands = EnumerateB2bStageCandidates(spec_, problems[i],
-                                               combo.tb_m, combo.residence);
-      const KernelConfig* pick = nullptr;
-      double pick_us = std::numeric_limits<double>::infinity();
-      for (const KernelConfig& c : cands) {
-        if (c.warps_per_cta() != combo.warps) continue;
-        GemmKernel k(problems[i], c, epilogues[i]);
-        if (!k.CanImplement(spec_).ok()) continue;
-        const double us = k.EstimateUs(spec_);
-        if (us < pick_us) {
-          pick_us = us;
-          pick = &c;
+  std::vector<std::vector<KernelConfig>> configs(combos.size());
+  const SweepWinner best = Sweep(
+      key, static_cast<int64_t>(combos.size()),
+      [&](int64_t ci) -> std::optional<double> {
+        const B2bCombo& combo = combos[ci];
+        std::vector<typename Family::Stage> stages;
+        for (size_t i = 0; i < problems.size(); ++i) {
+          std::optional<KernelConfig> pick;
+          double pick_us = std::numeric_limits<double>::infinity();
+          for (const KernelConfig& c : EnumerateB2bStageCandidates(
+                   spec_, Family::AsGemm(problems[i]), combo.tb_m,
+                   combo.residence)) {
+            if (c.warps_per_cta() != combo.warps) continue;
+            const KernelConfig config = Family::StageConfig(problems[i], c);
+            typename Family::Kernel k(problems[i], config, epilogues[i]);
+            if (!k.CanImplement(spec_).ok()) continue;
+            const double us = k.EstimateUs(spec_);
+            if (us < pick_us) {
+              pick_us = us;
+              pick = config;
+            }
+          }
+          if (!pick.has_value()) return std::nullopt;
+          stages.push_back({problems[i], *pick, epilogues[i]});
         }
-      }
-      if (pick == nullptr) return;
-      stages.push_back(B2bStage{problems[i], *pick, epilogues[i]});
-    }
-    auto kernel = B2bGemmKernel::Create(stages, combo.residence, spec_);
-    if (!kernel.ok()) return;
-    B2bComboOutcome& o = outcomes[ci];
-    o.feasible = true;
-    o.us = kernel.value().EstimateUs(spec_);
-    for (const B2bStage& s : stages) o.configs.push_back(s.config);
-  };
-  const int64_t n = static_cast<int64_t>(combos.size());
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(n, eval);
-  } else {
-    for (int64_t ci = 0; ci < n; ++ci) eval(ci);
-  }
-
-  std::vector<double> measured;
-  for (int64_t ci = 0; ci < n; ++ci) {
-    if (!outcomes[ci].feasible) continue;
-    measured.push_back(outcomes[ci].us);
+        auto kernel = Family::Chain::Create(stages, combo.residence, spec_);
+        if (!kernel.ok()) return std::nullopt;
+        for (const auto& s : stages) configs[ci].push_back(s.config);
+        return kernel.value().EstimateUs(spec_);
+      });
+  if (best.index >= 0) {
     result.feasible = true;
-    if (outcomes[ci].us < result.fused_us) {
-      result.fused_us = outcomes[ci].us;
-      result.residence = combos[ci].residence;
-      result.configs = outcomes[ci].configs;
-    }
-  }
-  ChargeMeasurements(key, measured);
-  im.candidates_enumerated.Increment(n);
-  im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
-  if (result.feasible) {
-    im.workloads_profiled.Increment();
-    im.workload_best_us.Observe(result.fused_us);
+    result.fused_us = best.us;
+    result.residence = combos[best.index].residence;
+    result.configs = configs[best.index];
   }
   result.beneficial = result.feasible && result.fused_us < result.unfused_us;
   PublishResult(b2b_cache_, key, result);
   return result;
 }
 
-B2bProfileResult Profiler::ProfileB2bConv(
-    const std::vector<cutlite::ConvProblem>& problems,
+B2bProfileResult Profiler::ProfileB2bGemm(
+    const std::vector<GemmCoord>& problems,
     const std::vector<EpilogueSpec>& epilogues) {
-  BOLT_CHECK(problems.size() == epilogues.size() && problems.size() >= 2);
-  std::vector<std::string> stage_keys;
-  for (size_t i = 0; i < problems.size(); ++i) {
-    stage_keys.push_back(
-        StrCat(problems[i].ToString(), "+", epilogues[i].ToString()));
-  }
-  const std::string key =
-      StrCat("b2bconv/", StrJoin(stage_keys, ","), "/", spec_.arch);
-  B2bProfileResult cached;
-  ProfilerInstruments& im = ProfilerInstruments::Get();
-  if (LookupOrBeginFlight(b2b_cache_, key, &cached, im.cache_hits,
-                          im.cache_misses)) {
-    return cached;
-  }
-  EnsureArchPrepared();
+  return ProfileChain(problems, epilogues);
+}
 
-  B2bProfileResult result;
-  result.fused_us = std::numeric_limits<double>::infinity();
-
-  result.unfused_us = 0.0;
-  for (size_t i = 0; i < problems.size(); ++i) {
-    auto r = ProfileConv(problems[i], epilogues[i]);
-    if (!r.ok()) {
-      PublishResult(b2b_cache_, key, result);
-      return result;
-    }
-    result.unfused_us += r.value().us;
-  }
-
-  const std::vector<B2bCombo> combos = EnumerateB2bCombos();
-  std::vector<B2bComboOutcome> outcomes(combos.size());
-  auto eval = [&](int64_t ci) {
-    const B2bCombo& combo = combos[ci];
-    std::vector<B2bConvStage> stages;
-    for (size_t i = 0; i < problems.size(); ++i) {
-      auto cands = EnumerateB2bStageCandidates(
-          spec_, problems[i].AsGemm(), combo.tb_m, combo.residence);
-      const KernelConfig* pick = nullptr;
-      double pick_us = std::numeric_limits<double>::infinity();
-      for (const KernelConfig& c : cands) {
-        if (c.warps_per_cta() != combo.warps) continue;
-        // Conv alignments come from channel counts.
-        KernelConfig cc = c;
-        cc.align_a = MaxAlignment(problems[i].c);
-        cc.align_b = MaxAlignment(problems[i].c);
-        cc.align_c = MaxAlignment(problems[i].k);
-        Conv2dKernel k(problems[i], cc, epilogues[i]);
-        if (!k.CanImplement(spec_).ok()) continue;
-        const double us = k.EstimateUs(spec_);
-        if (us < pick_us) {
-          pick_us = us;
-          pick = &c;
-        }
-      }
-      if (pick == nullptr) return;
-      KernelConfig cc = *pick;
-      cc.align_a = MaxAlignment(problems[i].c);
-      cc.align_b = MaxAlignment(problems[i].c);
-      cc.align_c = MaxAlignment(problems[i].k);
-      stages.push_back(B2bConvStage{problems[i], cc, epilogues[i]});
-    }
-    auto kernel = B2bConvKernel::Create(stages, combo.residence, spec_);
-    if (!kernel.ok()) return;
-    B2bComboOutcome& o = outcomes[ci];
-    o.feasible = true;
-    o.us = kernel.value().EstimateUs(spec_);
-    for (const auto& s : stages) o.configs.push_back(s.config);
-  };
-  const int64_t n = static_cast<int64_t>(combos.size());
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(n, eval);
-  } else {
-    for (int64_t ci = 0; ci < n; ++ci) eval(ci);
-  }
-
-  std::vector<double> measured;
-  for (int64_t ci = 0; ci < n; ++ci) {
-    if (!outcomes[ci].feasible) continue;
-    measured.push_back(outcomes[ci].us);
-    result.feasible = true;
-    if (outcomes[ci].us < result.fused_us) {
-      result.fused_us = outcomes[ci].us;
-      result.residence = combos[ci].residence;
-      result.configs = outcomes[ci].configs;
-    }
-  }
-  ChargeMeasurements(key, measured);
-  im.candidates_enumerated.Increment(n);
-  im.candidates_measured.Increment(static_cast<int64_t>(measured.size()));
-  if (result.feasible) {
-    im.workloads_profiled.Increment();
-    im.workload_best_us.Observe(result.fused_us);
-  }
-  result.beneficial = result.feasible && result.fused_us < result.unfused_us;
-  PublishResult(b2b_cache_, key, result);
-  return result;
+B2bProfileResult Profiler::ProfileB2bConv(
+    const std::vector<ConvProblem>& problems,
+    const std::vector<EpilogueSpec>& epilogues) {
+  return ProfileChain(problems, epilogues);
 }
 
 }  // namespace bolt

@@ -98,29 +98,26 @@ struct B2bProfileResult {
   bool cache_hit = false;
 };
 
-/// Tuning-cost model constants (simulated seconds) and parallelism knobs.
+/// Simulated seconds of the one-time per-architecture sample-program
+/// generation, spread over `kPregenPrograms` independent programs that a
+/// parallel profiler's workers compile concurrently.
+inline constexpr double kArchPregenSeconds = 90.0;
+inline constexpr int kPregenPrograms = 64;
+
+/// A ranked CPU sweep measures max(kCpuRankMinKeep, kCpuRankKeepFraction *
+/// candidates) top-predicted candidates (the heuristic candidate and the
+/// transfer seed ride along on top).
+inline constexpr double kCpuRankKeepFraction = 0.125;
+inline constexpr int kCpuRankMinKeep = 4;
+
+/// The profiler's settable parallelism and ranking knobs.
 struct ProfilerCostModel {
-  double arch_pregen_s = 90.0;    // one-time sample-program generation
-  double per_candidate_overhead_s = 0.004;  // dispatch + result collection
-  int warmup_runs = 5;
-  int measure_runs = 20;
   /// Number of measurement workers (the paper's RPC runner fleet).  Values
   /// <= 1 keep the profiler fully serial — identical behavior *and*
   /// identical clock accounting to the historical implementation.  Larger
   /// values fan candidate measurement out over a worker pool and account
   /// wall time as the critical path across workers.
   int num_threads = 1;
-  /// The one-time pre-generation compiles this many independent sample
-  /// programs; its wall cost shrinks accordingly when workers compile them
-  /// in parallel.
-  int pregen_programs = 64;
-  /// Real-measurement discipline for CPU kernel tuning (ProfileCpuGemm /
-  /// ProfileCpuConv): each candidate runs `cpu_warmup_runs` unmeasured
-  /// launches then `cpu_measure_runs` timed ones, keeping the minimum.
-  /// Candidates are swept serially — each launch may itself use the whole
-  /// process pool — so these directly bound the wall cost of tuning.
-  int cpu_warmup_runs = 1;
-  int cpu_measure_runs = 3;
   /// Learned pre-filter for the CPU sweeps (profiler/cpu_rank.h): rank
   /// candidates with the online GBT-stump model and measure only the
   /// top-k slice, falling back to the full sweep while the model is
@@ -140,11 +137,6 @@ struct ProfilerCostModel {
   /// well under the measured runtime spread — 0.01 here corresponds to
   /// candidate sets whose real spread is a few percent.
   double cpu_rank_min_spread = 0.01;
-  /// Ranked sweeps measure max(cpu_rank_min_keep,
-  /// cpu_rank_keep_fraction * candidates) top-predicted candidates (the
-  /// heuristic candidate and the transfer seed ride along on top).
-  double cpu_rank_keep_fraction = 0.125;
-  int cpu_rank_min_keep = 4;
 };
 
 class Profiler {
@@ -192,7 +184,6 @@ class Profiler {
   const TuningClock& clock() const { return clock_; }
   TuningClock& clock() { return clock_; }
   const DeviceSpec& spec() const { return spec_; }
-  const ProfilerCostModel& cost() const { return cost_; }
   int cache_size() const;
   /// Number of cached CPU tuning results (the `cpu/` namespace).
   int cpu_cache_size() const;
@@ -206,7 +197,9 @@ class Profiler {
   /// deployment can skip re-profiling known workloads entirely.  See
   /// docs/TUNING_CACHE.md for the v1 grammar.
   Status SaveCache(std::ostream& out) const;
-  /// Merge records from a saved cache; malformed lines are rejected.
+  /// Merge records from a saved cache.  A malformed GPU record rejects the
+  /// whole file, and then nothing of it is merged; a malformed, foreign or
+  /// wrong-version `cpu/` record is dropped alone.
   Status LoadCache(std::istream& in);
 
   /// Save the cache to `path` atomically: the serialized cache is written
@@ -245,6 +238,25 @@ class Profiler {
   void PublishResult(std::map<std::string, R>& cache, const std::string& key,
                      const R& result);
   void AbandonFlight(const std::string& key);
+
+  /// Winner of a simulated sweep (profiler.cc).
+  struct SweepWinner;
+  /// Estimates candidates [0, n) on the device model (nullopt: cannot be
+  /// implemented), fanned out over the pool, then charges the clock for the
+  /// feasible ones in enumeration order, counts them in the profiler.*
+  /// metrics, and returns the earliest fastest one.
+  SweepWinner Sweep(
+      const std::string& key, int64_t n,
+      const std::function<std::optional<double>(int64_t)>& estimate);
+  /// The searches behind ProfileGemm / ProfileConv and ProfileB2bGemm /
+  /// ProfileB2bConv, for Problem = GemmCoord or ConvProblem.
+  template <typename Problem>
+  Result<ProfileResult> ProfileKernel(const Problem& problem,
+                                      const cutlite::EpilogueSpec& epilogue);
+  template <typename Problem>
+  B2bProfileResult ProfileChain(
+      const std::vector<Problem>& problems,
+      const std::vector<cutlite::EpilogueSpec>& epilogues);
 
   /// Shared sweep for ProfileCpuGemm/ProfileCpuConv: seeds the candidate
   /// list from the nearest tuned shape (cross-shape transfer), asks the

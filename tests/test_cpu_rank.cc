@@ -397,7 +397,7 @@ TEST(RankedSweepTest, ConfidentModelMeasuresAStrictSubset) {
   const CpuProfileResult& r = second.value();
   EXPECT_TRUE(r.ranked);
   EXPECT_LT(r.candidates_tried, r.candidates_enumerated);
-  EXPECT_GE(r.candidates_tried, cost.cpu_rank_min_keep);
+  EXPECT_GE(r.candidates_tried, kCpuRankMinKeep);
   EXPECT_TRUE(r.block.Validate().ok());
   EXPECT_GT(r.us, 0.0);
   EXPECT_EQ(pruned.value() - pruned0,

@@ -112,11 +112,10 @@ TEST(ProfilerTest, CacheHitsAreFree) {
 }
 
 TEST(ProfilerTest, ArchPregenChargedOnce) {
-  ProfilerCostModel cost;
-  Profiler prof(kT4, cost);
+  Profiler prof(kT4);
   prof.ProfileGemm(GemmCoord(512, 512, 512), EpilogueSpec::Linear());
   const double after_one = prof.clock().compile_seconds();
-  EXPECT_GE(after_one, cost.arch_pregen_s);
+  EXPECT_GE(after_one, kArchPregenSeconds);
   prof.ProfileGemm(GemmCoord(1024, 512, 512), EpilogueSpec::Linear());
   // No additional compile charge: sample programs are reused.
   EXPECT_DOUBLE_EQ(prof.clock().compile_seconds(), after_one);

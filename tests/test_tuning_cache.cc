@@ -367,6 +367,25 @@ TEST(CpuTuningCacheTest, CpuLinesDoNotRelaxGpuStrictness) {
   cpukernels::ClearTunedBlocks();
 }
 
+TEST(CpuTuningCacheTest, RejectedFileLeavesNothingBehind) {
+  // A malformed GPU record rejects the whole file, so nothing of it may
+  // stay loaded: not the records before it, not its cpu/ records or their
+  // tuned-block registrations, and not its arch header's pregen skip.
+  cpukernels::ClearTunedBlocks();
+  Profiler prof(kT4);
+  std::istringstream in(StrCat("# bolt tuning cache v1 arch=sm75\n",
+                               ValidRecord(), ValidCpuRecord(),
+                               "gemm/b/linear/sm75|1 2 3|12.5\n"));
+  EXPECT_EQ(prof.LoadCache(in).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(prof.cache_size(), 0);
+  EXPECT_EQ(prof.cpu_cache_size(), 0);
+  EXPECT_EQ(cpukernels::TunedBlockCount(), 0);
+  ASSERT_TRUE(
+      prof.ProfileGemm(GemmCoord(512, 512, 512), EpilogueSpec::Linear()).ok());
+  EXPECT_GE(prof.clock().compile_seconds(), kArchPregenSeconds);
+  cpukernels::ClearTunedBlocks();
+}
+
 // ---------------------------------------------------------------------------
 // Arch-header semantics: the one-time sample-program pre-generation charge
 // is skipped only when the header names *exactly* this architecture.
@@ -390,13 +409,12 @@ TEST(TuningCacheTest, ExactArchHeaderSkipsPregen) {
 TEST(TuningCacheTest, SupersetArchTokenDoesNotSkipPregen) {
   // "arch=sm75x" contains the substring "arch=sm75" but is a different
   // architecture; its sample programs are useless here.
-  ProfilerCostModel cost;
   EXPECT_GE(CompileSecondsAfterOneProfile("# bolt tuning cache v1 arch=sm75x"),
-            cost.arch_pregen_s);
+            kArchPregenSeconds);
   EXPECT_GE(CompileSecondsAfterOneProfile("# bolt tuning cache v1 arch=sm7"),
-            cost.arch_pregen_s);
+            kArchPregenSeconds);
   EXPECT_GE(CompileSecondsAfterOneProfile("# arch=sm80"),
-            cost.arch_pregen_s);
+            kArchPregenSeconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,6 +629,53 @@ TEST(ParallelProfilerTest, B2bMatchesSerialBitExactly) {
     ASSERT_EQ(s.configs.size(), p.configs.size());
     for (size_t i = 0; i < s.configs.size(); ++i) {
       EXPECT_TRUE(s.configs[i] == p.configs[i]);
+    }
+  }
+}
+
+TEST(ParallelProfilerTest, B2bConvMatchesSerialBitExactly) {
+  // The aligned Table 2 chains, plus a 2x2 filter over 4 channels: for
+  // 3x3 and 1x1 filters the implicit-GEMM alignments equal the channel
+  // alignments, so only the last chain tells them apart.
+  std::vector<std::vector<cutlite::ConvProblem>> chains;
+  for (const auto& w : workloads::Table2Workloads()) {
+    if (w.conv0.c % 8 != 0) continue;  // unaligned rows go through padding
+    chains.push_back({w.conv0, w.conv1});
+  }
+  cutlite::ConvProblem narrow;
+  narrow.n = 8;
+  narrow.h = narrow.w = 16;
+  narrow.c = 4;
+  narrow.k = 16;
+  narrow.r = narrow.s = 2;
+  cutlite::ConvProblem pointwise = narrow;
+  pointwise.h = narrow.out_h();
+  pointwise.w = narrow.out_w();
+  pointwise.c = 16;
+  pointwise.r = pointwise.s = 1;
+  chains.push_back({narrow, pointwise});
+
+  Profiler serial(kT4);
+  Profiler parallel(kT4, ParallelCost(8));
+  const EpilogueSpec e = EpilogueSpec::WithActivation(ActivationKind::kRelu);
+  for (const auto& chain : chains) {
+    auto s = serial.ProfileB2bConv(chain, {e, e});
+    auto p = parallel.ProfileB2bConv(chain, {e, e});
+    ASSERT_TRUE(s.feasible) << chain[0].ToString();
+    ASSERT_EQ(s.feasible, p.feasible);
+    EXPECT_EQ(s.fused_us, p.fused_us);
+    EXPECT_EQ(s.unfused_us, p.unfused_us);
+    EXPECT_EQ(s.residence, p.residence);
+    ASSERT_EQ(s.configs.size(), chain.size());
+    ASSERT_EQ(p.configs.size(), chain.size());
+    for (size_t i = 0; i < chain.size(); ++i) {
+      EXPECT_TRUE(s.configs[i] == p.configs[i]);
+      // Stage configs carry the conv alignments, derived from the channel
+      // counts, not those of the implicit-GEMM view they were enumerated
+      // over.
+      EXPECT_EQ(s.configs[i].align_a, MaxAlignment(chain[i].c));
+      EXPECT_EQ(s.configs[i].align_b, MaxAlignment(chain[i].c));
+      EXPECT_EQ(s.configs[i].align_c, MaxAlignment(chain[i].k));
     }
   }
 }
